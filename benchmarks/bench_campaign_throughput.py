@@ -153,7 +153,7 @@ def measure_cold_warm(campaign, store_root) -> dict:
 
 
 def measure_parallel(
-    campaign, reference_verdicts: str, workers: int, heavy: bool, store_root
+    campaign, reference_verdicts: str, workers: int, store_root
 ) -> dict:
     """Serial vs affinity-sharded parallel wall-clock, warm snapshots.
 
@@ -191,20 +191,6 @@ def measure_parallel(
             serial.verdict_json() == affinity.verdict_json() == reference_verdicts
         ),
     }
-    if heavy:
-        clear_results()
-        started = time.perf_counter()
-        blind = CampaignRunner(store_path=store_root).run(
-            campaign, parallel=True, max_workers=workers, sharding="blind"
-        )
-        blind_seconds = time.perf_counter() - started
-        record["blind_seconds"] = round(blind_seconds, 3)
-        record["affinity_vs_blind"] = round(
-            blind_seconds / max(affinity_seconds, 1e-9), 3
-        )
-        record["verdicts_identical"] = record["verdicts_identical"] and (
-            blind.verdict_json() == reference_verdicts
-        )
     return record
 
 
@@ -362,7 +348,6 @@ def run_tier(tier: str, store_root=None) -> dict:
             campaign,
             reference,
             workers=PARALLEL_WORKERS if heavy else 2,
-            heavy=heavy,
             store_root=store_root,
         )
         snapshot = measure_snapshot_rehydration(

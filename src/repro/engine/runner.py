@@ -24,12 +24,10 @@
   session caches stay warm for its whole shard), shards larger than a
   fair share are split into steal-granularity units, and workers pull
   units off one shared queue largest-first, which keeps tails short
-  without giving up warm-cache affinity.  The PR-1 blind chunking
-  remains selectable (``sharding="blind"``) as the differential
-  baseline.  Because pooled results are bit-identical to fresh-manager
-  results (see :mod:`repro.engine.pool`), every mode — serial,
-  affinity, blind, warm-store — carries the same verdicts, byte for
-  byte;
+  without giving up warm-cache affinity.  Because pooled results are
+  bit-identical to fresh-manager results (see :mod:`repro.engine.pool`),
+  every mode — serial, parallel, warm-store — carries the same
+  verdicts, byte for byte;
 * an optional **resilience layer** (:mod:`repro.resilience`) — a
   :class:`~repro.resilience.SupervisionPolicy` turns on bounded
   scenario retries with seeded backoff and store-write retry; the
@@ -48,9 +46,9 @@ from __future__ import annotations
 import copy
 import multiprocessing
 import os
-import queue
 import time
 import traceback as traceback_module
+from multiprocessing import connection
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
@@ -69,18 +67,6 @@ from ..resilience import CampaignJournal, SupervisionPolicy, faults
 from ..telemetry import report as trace_report
 
 ScenarioLike = Union[Scenario, str]
-
-#: Sharding strategies of the parallel mode.
-SHARDING_AFFINITY = "affinity"
-SHARDING_BLIND = "blind"
-SHARDINGS = (SHARDING_AFFINITY, SHARDING_BLIND)
-
-#: Per-worker state of the blind parallel mode (set by the initializer).
-_WORKER_POOL: Optional[ManagerPool] = None
-_WORKER_STORE: Optional[ResultStore] = None
-_WORKER_MEMO: Dict[Tuple, ScenarioOutcome] = {}
-_WORKER_MEMOIZE: bool = True
-_WORKER_SUPERVISION: Optional[SupervisionPolicy] = None
 
 
 def _failed_outcome(
@@ -257,7 +243,7 @@ def _execute_pooled(
             # scenarios may share pooled managers; the pool retires each
             # manager at its first swap (reorder_evictions), which is what
             # keeps the next acquisition bit-identical to a fresh run.
-            manager = pool.private_manager(scenario.order_signature())
+            manager = pool.private_manager()
         else:
             manager = pool.acquire(scenario.order_signature())
         try:
@@ -448,35 +434,6 @@ def _merge_store_stats(stats_list: Sequence[Optional[Dict[str, object]]]) -> Dic
     return merged
 
 
-# ----------------------------------------------------------------------
-# Blind parallel mode (PR 1): process pool, arbitrary chunking
-# ----------------------------------------------------------------------
-def _init_worker(
-    cache_limit: Optional[int],
-    memoize: bool,
-    store_spec: Optional[Tuple[str, str, bool]],
-    fault_state: Optional[Dict[str, object]] = None,
-    supervision_state: Optional[Dict[str, object]] = None,
-) -> None:
-    """Initialise per-process state for the blind parallel mode."""
-    global _WORKER_POOL, _WORKER_MEMOIZE, _WORKER_STORE, _WORKER_SUPERVISION
-    # Blind workers have no closing hook to ship trace events through
-    # (multiprocessing.Pool.map gives back outcomes only), so tracing is
-    # explicitly disabled here — a forked worker must not silently
-    # accumulate events into an inherited parent tracer it can never
-    # deliver.  The affinity scheduler is the traced parallel mode.
-    telemetry.configure(None)
-    faults.configure_from_state(fault_state)
-    _WORKER_POOL = ManagerPool(cache_limit=cache_limit)
-    _WORKER_STORE = _store_from_spec(store_spec)
-    _WORKER_POOL.attach_store(_WORKER_STORE)
-    _WORKER_MEMOIZE = memoize
-    _WORKER_MEMO.clear()
-    _WORKER_SUPERVISION = (
-        SupervisionPolicy.from_dict(supervision_state) if supervision_state else None
-    )
-
-
 def _store_from_spec(
     store_spec: Optional[Tuple[str, str, bool]]
 ) -> Optional[ResultStore]:
@@ -484,21 +441,6 @@ def _store_from_spec(
     if store_spec is None:
         return None
     return ResultStore(store_spec[0], salt=store_spec[1], fsync=store_spec[2])
-
-
-def _execute_in_worker(scenario: Scenario) -> ScenarioOutcome:
-    """Blind-mode entry: run one scenario on this worker's own pool."""
-    global _WORKER_POOL
-    if _WORKER_POOL is None:  # pragma: no cover - initializer always runs
-        _WORKER_POOL = ManagerPool()
-    outcome, _ = _execute_pooled(
-        scenario,
-        _WORKER_POOL,
-        _WORKER_MEMO if _WORKER_MEMOIZE else None,
-        store=_WORKER_STORE,
-        supervision=_WORKER_SUPERVISION,
-    )
-    return outcome
 
 
 # ----------------------------------------------------------------------
@@ -511,8 +453,8 @@ def _affinity_units(
 
     Scenarios are sharded by ``order_signature`` — a worker that runs a
     whole shard re-derives every scenario after the first at warm
-    unique-table and session-cache speed, which blind chunking throws
-    away.  A shard bigger than a fair share (``ceil(n / workers)``) is
+    unique-table and session-cache speed, which arbitrary chunking
+    throws away.  A shard bigger than a fair share (``ceil(n / workers)``) is
     split into fair-share units so one giant signature cannot serialise
     the campaign: the units sit adjacently in the queue, and only when
     other workers run dry do they steal them (paying one warm-up each,
@@ -555,12 +497,15 @@ def _affinity_worker(
     The parent is the scheduler of record: the worker announces
     ``("ready", id)``, the parent pushes one unit (or the ``None``
     sentinel) onto this worker's private ``tasks`` queue, and every
-    completed scenario ships back as ``("outcome", id, index, outcome)``.
-    Dispatch bookkeeping lives entirely parent-side, so a worker that
-    dies mid-unit — even one hard-killed with its feeder thread's
-    messages unflushed — leaves the parent knowing exactly which unit
-    was in flight and which indices are still uncollected; respawn and
-    re-dispatch need no worker cooperation.
+    completed scenario ships back as ``("outcome", id, index, outcome)``
+    over the worker's own ``results`` pipe.  The pipe is private, not a
+    queue shared by all workers: a worker hard-killed mid-write can then
+    only cut its own channel short, never leave a shared write lock held
+    that would silence the surviving workers.  Dispatch bookkeeping
+    lives entirely parent-side, so a worker that dies mid-unit leaves
+    the parent knowing exactly which unit was in flight and which
+    indices are still uncollected; respawn and re-dispatch need no
+    worker cooperation.
 
     Owns an isolated :class:`ManagerPool` (plus its own handle on the
     shared result store), so pooled determinism gives byte-identical
@@ -586,7 +531,7 @@ def _affinity_worker(
     units_run = 0
     sup_stats = _fresh_sup_stats()
     try:
-        results.put(("ready", worker_id))
+        results.send(("ready", worker_id))
         while True:
             message = tasks.get()
             if message is None:
@@ -608,8 +553,8 @@ def _affinity_worker(
                         supervision=policy,
                         sup_stats=sup_stats,
                     )
-                    results.put(("outcome", worker_id, index, outcome))
-            results.put(("ready", worker_id))
+                    results.send(("outcome", worker_id, index, outcome))
+            results.send(("ready", worker_id))
     finally:
         record: Dict[str, object] = {
             "worker": worker_id,
@@ -624,7 +569,8 @@ def _affinity_worker(
                 "events": tracer.drain(),
                 "registry": telemetry.get_registry().snapshot(),
             }
-        results.put(("close", worker_id, record))
+        results.send(("close", worker_id, record))
+        results.close()
 
 
 class CampaignRunner:
@@ -699,7 +645,6 @@ class CampaignRunner:
         parallel: bool = False,
         max_workers: Optional[int] = None,
         mp_context: Optional[str] = None,
-        sharding: str = SHARDING_AFFINITY,
         supervision: Optional[SupervisionPolicy] = None,
         journal: Optional[Union[str, Path]] = None,
     ) -> CampaignReport:
@@ -708,10 +653,9 @@ class CampaignRunner:
         Serial mode shares this runner's manager pool, memo and store
         across the whole campaign.  Parallel mode distributes scenarios
         over worker processes, each owning an isolated
-        :class:`ManagerPool` (and its own handle on the shared store);
-        ``sharding`` selects the affinity-sharded work-stealing
-        scheduler (default) or the PR-1 blind chunking.  The resulting
-        verdicts are byte-identical to serial mode either way.
+        :class:`ManagerPool` (and its own handle on the shared store),
+        fed by the affinity-sharded work-stealing scheduler.  The
+        resulting verdicts are byte-identical to serial mode.
 
         ``supervision`` turns on bounded scenario retries with seeded
         backoff (and, in parallel mode, overrides the worker respawn /
@@ -723,8 +667,6 @@ class CampaignRunner:
         persistent store replays the finished verdicts byte-identically.
         A journal therefore requires the runner to have a store.
         """
-        if sharding not in SHARDINGS:
-            raise ValueError(f"unknown sharding {sharding!r}; valid: {SHARDINGS}")
         resolved = self.resolve(scenarios)
         if not resolved:
             return CampaignReport(outcomes=[], mode="serial")
@@ -765,7 +707,6 @@ class CampaignRunner:
                 "campaign.run",
                 scenarios=len(resolved),
                 parallel=parallel,
-                sharding=sharding if parallel else None,
             ):
                 if parallel:
                     (
@@ -778,7 +719,6 @@ class CampaignRunner:
                         resolved,
                         max_workers,
                         mp_context,
-                        sharding,
                         supervision,
                         journal_obj,
                         fingerprints,
@@ -809,12 +749,6 @@ class CampaignRunner:
                             store_before, self.store.statistics()
                         )
                     mode = "serial"
-            if journal_obj is not None:
-                # Catch-up marks (no-op where live marking already ran;
-                # blind sharding only reports outcomes at the end).
-                for index, outcome in enumerate(outcomes):
-                    if outcome is not None and outcome.error is None:
-                        journal_obj.mark(index, fingerprints[index])
         finally:
             if journal_obj is not None:
                 journal_obj.close()
@@ -875,7 +809,6 @@ class CampaignRunner:
         parallel: bool = False,
         max_workers: Optional[int] = None,
         mp_context: Optional[str] = None,
-        sharding: str = SHARDING_AFFINITY,
         supervision: Optional[SupervisionPolicy] = None,
     ) -> CampaignReport:
         """Execute a campaign in consecutive batches, draining the pool between.
@@ -917,7 +850,6 @@ class CampaignRunner:
                         parallel=parallel,
                         max_workers=max_workers,
                         mp_context=mp_context,
-                        sharding=sharding,
                         supervision=supervision,
                     )
                 )
@@ -1002,95 +934,6 @@ class CampaignRunner:
         scenarios: Sequence[Scenario],
         max_workers: Optional[int],
         mp_context: Optional[str],
-        sharding: str,
-        supervision: Optional[SupervisionPolicy] = None,
-        journal: Optional[CampaignJournal] = None,
-        fingerprints: Optional[List[str]] = None,
-    ) -> Tuple[
-        List[ScenarioOutcome],
-        Dict[str, object],
-        Dict[str, object],
-        Dict[str, object],
-        Dict[str, object],
-    ]:
-        if sharding == SHARDING_BLIND:
-            return self._run_parallel_blind(
-                scenarios, max_workers, mp_context, supervision
-            )
-        return self._run_parallel_affinity(
-            scenarios, max_workers, mp_context, supervision, journal, fingerprints
-        )
-
-    def _run_parallel_blind(
-        self,
-        scenarios: Sequence[Scenario],
-        max_workers: Optional[int],
-        mp_context: Optional[str],
-        supervision: Optional[SupervisionPolicy] = None,
-    ) -> Tuple[
-        List[ScenarioOutcome],
-        Dict[str, object],
-        Dict[str, object],
-        Dict[str, object],
-        Dict[str, object],
-    ]:
-        context = multiprocessing.get_context(mp_context)
-        workers = self._worker_count(scenarios, max_workers)
-        with context.Pool(
-            processes=workers,
-            initializer=_init_worker,
-            initargs=(
-                self.pool.cache_limit,
-                self.memoize,
-                self._store_spec(),
-                faults.config_state(),
-                supervision.to_dict() if supervision is not None else None,
-            ),
-        ) as pool:
-            outcomes = pool.map(_execute_in_worker, scenarios)
-        pool_stats = {
-            "managers": None,
-            "workers": workers,
-            "sharding": SHARDING_BLIND,
-            "note": "parallel mode: per-worker manager pools",
-        }
-        store_stats: Dict[str, object] = {}
-        if self.store is not None:
-            # The process pool gives no per-worker closing hook, so the
-            # result-record activity is aggregated from the outcomes
-            # themselves (snapshot traffic stays per-worker-internal).
-            results = {
-                "hits": 0,
-                "misses": 0,
-                "stale": 0,
-                "invalidated": 0,
-                "corrupt": 0,
-                "bytes_written": 0,
-            }
-            status_counters = {status: counter for counter, status in _LOOKUP_STATUSES}
-            for outcome in outcomes:
-                status = outcome.store.get("status")
-                if status == "hit":
-                    results["hits"] += 1
-                elif status in status_counters:
-                    results[status_counters[status]] += 1
-                    results["bytes_written"] += outcome.store.get("bytes_written", 0)
-            _derive_store_rates(results)
-            store_stats = {
-                "results": results,
-                "note": "blind sharding: aggregated from per-scenario records",
-            }
-        # Blind workers run untraced (no closing hook to ship events
-        # through, see _init_worker), so there is no worker telemetry —
-        # and no per-worker supervision record (the Pool gives no
-        # closing hook for that either; blind is the PR-1 baseline).
-        return list(outcomes), pool_stats, store_stats, {}, {}
-
-    def _run_parallel_affinity(
-        self,
-        scenarios: Sequence[Scenario],
-        max_workers: Optional[int],
-        mp_context: Optional[str],
         supervision: Optional[SupervisionPolicy] = None,
         journal: Optional[CampaignJournal] = None,
         fingerprints: Optional[List[str]] = None,
@@ -1129,7 +972,6 @@ class CampaignRunner:
         }
         pending: List[int] = list(range(len(units)))
         next_unit_id = len(units)
-        results = context.Queue()
         fault_state = faults.config_state()
         supervision_state = (
             supervision.to_dict() if supervision is not None else None
@@ -1144,12 +986,13 @@ class CampaignRunner:
             wid = next_worker_id
             next_worker_id += 1
             tasks = context.Queue()
+            reader, writer = context.Pipe(duplex=False)
             process = context.Process(
                 target=_affinity_worker,
                 args=(
                     wid,
                     tasks,
-                    results,
+                    writer,
                     self.pool.cache_limit,
                     self.memoize,
                     self._store_spec(),
@@ -1162,12 +1005,16 @@ class CampaignRunner:
             worker_states[wid] = {
                 "process": process,
                 "tasks": tasks,
+                "results": reader,
                 "unit": None,
                 "last_seen": time.monotonic(),
                 "state": "running",
                 "stop_sent": False,
             }
             process.start()
+            # Only the worker may hold the write end, so the parent sees
+            # end-of-file once the worker is gone.
+            writer.close()
             return wid
 
         for _ in range(workers):
@@ -1274,6 +1121,20 @@ class CampaignRunner:
                 if state is not None:
                     state["state"] = "closed"
 
+        def receive(wid: int) -> None:
+            """Absorb one message from worker ``wid``'s result pipe."""
+            state = worker_states[wid]
+            try:
+                message = state["results"].recv()
+            except (EOFError, OSError):
+                # The worker is gone (after its closing record, or killed
+                # mid-write): its channel is spent, and the watchdog
+                # judges the process.
+                state["results"].close()
+                state["results"] = None
+                return
+            absorb(message)
+
         try:
             while True:
                 if len(collected) >= total:
@@ -1294,11 +1155,16 @@ class CampaignRunner:
                     # re-entered the queue, so the parent must push).
                     still_idle = [wid for wid in idle if not dispatch(wid)]
                     idle[:] = still_idle
-                try:
-                    absorb(results.get(timeout=0.2))
+                open_channels = {
+                    state["results"]: wid
+                    for wid, state in worker_states.items()
+                    if state["results"] is not None
+                }
+                ready = connection.wait(list(open_channels), timeout=0.2)
+                for channel in ready:
+                    receive(open_channels[channel])
+                if ready:
                     continue
-                except queue.Empty:
-                    pass
                 # Watchdog: dead workers (crash) and silent ones (hang).
                 now = time.monotonic()
                 for wid, state in list(worker_states.items()):
@@ -1306,13 +1172,10 @@ class CampaignRunner:
                         continue
                     process = state["process"]
                     if not process.is_alive():
-                        # Drain whatever the dying worker still flushed
+                        # Drain whatever the dying worker still sent
                         # before judging what is left of its unit.
-                        while True:
-                            try:
-                                absorb(results.get_nowait())
-                            except queue.Empty:
-                                break
+                        while state["results"] is not None and state["results"].poll():
+                            receive(wid)
                         if state["state"] == "running":
                             handle_gone(wid, "died")
                         continue
@@ -1353,6 +1216,8 @@ class CampaignRunner:
                 if process.is_alive():
                     process.terminate()
                     process.join(timeout=2.0)
+                if state["results"] is not None:
+                    state["results"].close()
 
         outcomes = [collected[index] for index in range(total)]
         sup_stats = _fresh_sup_stats()
@@ -1367,7 +1232,6 @@ class CampaignRunner:
         pool_stats = {
             "managers": None,
             "workers": workers,
-            "sharding": SHARDING_AFFINITY,
             "units": len(units),
             "note": "parallel mode: per-worker manager pools, affinity-sharded queue",
             "per_worker": [
@@ -1410,7 +1274,6 @@ def run_campaign(
     max_workers: Optional[int] = None,
     cache_limit: Optional[int] = None,
     store_path: Optional[Union[str, Path]] = None,
-    sharding: str = SHARDING_AFFINITY,
     supervision: Optional[SupervisionPolicy] = None,
     journal: Optional[Union[str, Path]] = None,
 ) -> CampaignReport:
@@ -1420,7 +1283,6 @@ def run_campaign(
         scenarios,
         parallel=parallel,
         max_workers=max_workers,
-        sharding=sharding,
         supervision=supervision,
         journal=journal,
     )

@@ -12,8 +12,7 @@ conjunction.  It is layered:
   cluster ordering plus earliest-dead-point smoothing sets;
 * :mod:`repro.relational.image` — :class:`ImageComputer`, the scheduled
   relational product (with the monolithic baseline kept for
-  measurement), and :func:`smooth_conjunction`, the generic
-  build-then-smooth replacement;
+  measurement);
 * :mod:`repro.relational.models` — per-bit relation extraction from the
   symbolic processor models;
 * :mod:`repro.relational.policy` — :class:`RelationalPolicy`, the pure-
@@ -32,13 +31,12 @@ from .beta import (
     extraction_cache_statistics,
     supports_state_injection,
 )
-from .image import ImageComputer, ImageStats, smooth_conjunction
+from .image import ImageComputer, ImageStats
 from .models import pipelined_vsm_relation, unpipelined_vsm_relation
 from .partition import Cluster, ConjunctivePartition
 from .policy import (
     BETA_BACKENDS,
     BETA_COMPOSE,
-    BETA_PRODUCTS,
     BETA_RELATIONAL,
     COMPOSE_BETA_POLICY,
     MONOLITHIC_POLICY,
@@ -53,7 +51,6 @@ from .schedule import QuantificationSchedule, ScheduleStep
 __all__ = [
     "BETA_BACKENDS",
     "BETA_COMPOSE",
-    "BETA_PRODUCTS",
     "BETA_RELATIONAL",
     "COMPOSE_BETA_POLICY",
     "Cluster",
@@ -75,7 +72,6 @@ __all__ = [
     "extract_steppers",
     "extraction_cache_statistics",
     "pipelined_vsm_relation",
-    "smooth_conjunction",
     "supports_state_injection",
     "unpipelined_vsm_relation",
 ]

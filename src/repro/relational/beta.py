@@ -32,11 +32,8 @@ drained inputs, annulment-killed validity bits) are applied by
 *cofactoring* — the paper's own "cofactor the transition relation with
 respect to the inputs" step, which deletes dead cones before any
 expensive formula is touched — and the surviving function bindings by
-simultaneous composition (the compose normal form of the product; the
-literal :class:`~repro.relational.partition.ConjunctivePartition` +
-:class:`~repro.relational.schedule.QuantificationSchedule` product is
-kept selectable via ``RelationalPolicy.beta_product`` for differential
-measurement).  Latch fields gated by a constant-0 validity guard
+simultaneous composition (the compose normal form of the product).
+Latch fields gated by a constant-0 validity guard
 (:meth:`state_guards`) are not computed at all: canonicity guarantees
 the observables cannot depend on them.
 
@@ -60,8 +57,6 @@ from ..bdd.kernel import SnapshotError, pack_snapshot
 from ..logic import BitVec
 from ..strings import CONTROL
 from .. import telemetry
-from .image import smooth_conjunction
-from .policy import BETA_PRODUCT_SCHEDULE, RelationalPolicy
 
 #: Relation-variable prefixes (one family per machine role).
 SPEC_PREFIX = "beta.s."
@@ -125,7 +120,6 @@ class MachineStepper:
         input_names: Sequence[str],
         fetch_valid_name: Optional[str],
         next_functions: Dict[Tuple[str, int], BDDNode],
-        policy: RelationalPolicy,
         supports: Optional[Dict[Tuple[str, int], Tuple[str, ...]]] = None,
     ) -> None:
         self.manager = manager
@@ -135,7 +129,6 @@ class MachineStepper:
         self.input_names = list(input_names)
         self.fetch_valid_name = fetch_valid_name
         self.next_functions = next_functions
-        self.policy = policy
         self.guards = model.state_guards()
         widths = dict(self.layout)
         for guard in self.guards:
@@ -171,7 +164,6 @@ class MachineStepper:
         input_width: int,
         advance: Callable,
         with_fetch_valid: bool,
-        policy: Optional[RelationalPolicy] = None,
     ) -> "MachineStepper":
         """Derive the per-bit relation via the state-injection protocol.
 
@@ -180,7 +172,6 @@ class MachineStepper:
         window for the specification).  The model's latches are restored
         afterwards; callers typically ``reset`` it anyway.
         """
-        policy = policy if policy is not None else RelationalPolicy()
         layout = model.state_layout()
         input_names = [f"{prefix}in[{bit}]" for bit in range(input_width)]
         fetch_valid_name = f"{prefix}fetch_valid" if with_fetch_valid else None
@@ -221,7 +212,6 @@ class MachineStepper:
             input_names,
             fetch_valid_name,
             next_functions,
-            policy,
         )
 
     # ------------------------------------------------------------------
@@ -321,7 +311,7 @@ class MachineStepper:
 
         Constant bindings are applied by cofactoring — restriction by a
         literal is linear and erases the dead cone entirely — and the
-        surviving function bindings by the configured product strategy.
+        surviving function bindings by simultaneous composition.
         """
         manager = self.manager
         function = self.next_functions[(field, bit)]
@@ -333,14 +323,6 @@ class MachineStepper:
         substitution = {name: sources[name] for name in support}
         if not substitution:
             return function
-        if self.policy.beta_product == BETA_PRODUCT_SCHEDULE:
-            conjuncts = [function] + [
-                manager.apply_xnor(manager.var(name), bound)
-                for name, bound in substitution.items()
-            ]
-            return smooth_conjunction(
-                manager, conjuncts, list(substitution), self.policy
-            )
         return manager.compose(function, substitution)
 
 
@@ -349,7 +331,6 @@ def extract_steppers(
     specification,
     implementation,
     instruction_width: int,
-    policy: Optional[RelationalPolicy] = None,
 ) -> Tuple[MachineStepper, MachineStepper]:
     """Extract the (specification, implementation) stepper pair.
 
@@ -365,7 +346,6 @@ def extract_steppers(
         instruction_width,
         lambda model, word, fetch_valid: model.execute_instruction(word),
         with_fetch_valid=False,
-        policy=policy,
     )
     impl_stepper = MachineStepper.extract(
         manager,
@@ -374,7 +354,6 @@ def extract_steppers(
         instruction_width,
         lambda model, word, fetch_valid: model.step(word, fetch_valid=fetch_valid),
         with_fetch_valid=True,
-        policy=policy,
     )
     return spec_stepper, impl_stepper
 
@@ -405,8 +384,7 @@ def _stepper_payload(stepper: MachineStepper) -> Dict[str, object]:
 
 
 def _stepper_from_payload(
-    manager: BDDManager, payload: Dict[str, object], model, prefix: str,
-    policy: RelationalPolicy,
+    manager: BDDManager, payload: Dict[str, object], model, prefix: str
 ) -> MachineStepper:
     """Re-bind a cached relation to a freshly constructed model.
 
@@ -423,7 +401,6 @@ def _stepper_from_payload(
         payload["input_names"],
         payload["fetch_valid_name"],
         payload["next_functions"],
-        policy,
         supports=payload["supports"],
     )
 
@@ -562,7 +539,6 @@ def cached_extract_steppers(
     specification,
     implementation,
     instruction_width: int,
-    policy: Optional[RelationalPolicy],
     spec_key: object,
     impl_key: object,
     snapshot_store=None,
@@ -576,10 +552,9 @@ def cached_extract_steppers(
     specification — pays it once per session.  Keys must identify the
     model construction exactly: the executor derives them from the
     architecture (name + condensation options) and, for the
-    implementation, the injected-bug kwargs.  The policy is *not* part
-    of the key because extraction is policy-independent (only
-    :meth:`MachineStepper.advance` consults it); cached relations are
-    re-bound to the fresh model instances under the current policy.
+    implementation, the injected-bug kwargs.  Extraction is
+    policy-independent; cached relations are re-bound to the fresh
+    model instances.
 
     ``snapshot_store`` (anything with ``fingerprint_for`` /
     ``load_snapshot`` / ``save_snapshot`` — in practice the engine's
@@ -602,7 +577,6 @@ def cached_extract_steppers(
     store attached it carries a per-role ``snapshot`` sub-record
     (status restored/saved/invalid, seconds, nodes, bytes).
     """
-    policy = policy if policy is not None else RelationalPolicy()
     cache = manager.session_cache
     stats = cache.setdefault(_EXTRACTION_STATS_KEY, {"hits": 0, "misses": 0})
     info: Dict[str, object] = {}
@@ -615,7 +589,7 @@ def cached_extract_steppers(
         if payload is not None:
             stats["hits"] += 1
             info[role] = "hit"
-            return _stepper_from_payload(manager, payload, model, prefix, policy)
+            return _stepper_from_payload(manager, payload, model, prefix)
         if snapshot_store is not None:
             fingerprint = snapshot_store.fingerprint_for(key)
             blob = snapshot_store.load_snapshot(fingerprint, dependencies)
@@ -642,9 +616,7 @@ def cached_extract_steppers(
                         "seconds": round(time.perf_counter() - started, 4),
                         "nodes": blob.get("nodes", 0),
                     }
-                    return _stepper_from_payload(
-                        manager, payload, model, prefix, policy
-                    )
+                    return _stepper_from_payload(manager, payload, model, prefix)
         stats["misses"] += 1
         info[role] = "miss"
         with telemetry.span("beta.extract_role", manager=manager, role=role):
@@ -655,7 +627,6 @@ def cached_extract_steppers(
                 instruction_width,
                 advance,
                 with_fetch_valid=with_fetch_valid,
-                policy=policy,
             )
         payload = _stepper_payload(stepper)
         cache[key] = payload

@@ -15,7 +15,7 @@ subsystem exposes:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Dict, Optional, Tuple
 
 #: Valid reordering modes.
@@ -32,17 +32,6 @@ REORDER_MODES = (REORDER_NONE, REORDER_SIFT, REORDER_CONVERGE)
 BETA_RELATIONAL = "relational"
 BETA_COMPOSE = "compose"
 BETA_BACKENDS = (BETA_RELATIONAL, BETA_COMPOSE)
-
-#: Product strategies for the relational beta backend's per-bit advance.
-#: ``cofactor`` applies constant bindings by restriction and the rest by
-#: simultaneous composition (the compose normal form of the relational
-#: product — fastest); ``schedule`` builds the literal binding-conjunct
-#: product through :class:`~repro.relational.partition.ConjunctivePartition`
-#: and :class:`~repro.relational.schedule.QuantificationSchedule`
-#: (canonically identical; kept measurable for differential testing).
-BETA_PRODUCT_COFACTOR = "cofactor"
-BETA_PRODUCT_SCHEDULE = "schedule"
-BETA_PRODUCTS = (BETA_PRODUCT_COFACTOR, BETA_PRODUCT_SCHEDULE)
 
 
 @dataclass(frozen=True)
@@ -66,13 +55,6 @@ class RelationalPolicy:
     #: (default) or the classical compose path (the differential
     #: reference).  Ignored by the events and superscalar drivers.
     beta_backend: str = BETA_RELATIONAL
-    #: Per-bit product strategy of the relational beta backend.
-    beta_product: str = BETA_PRODUCT_COFACTOR
-    #: Kernel backend of the BDD managers this job runs on: ``dict``
-    #: (pure-Python baseline), ``vector`` (numpy batch paths), or
-    #: ``None`` to defer to :func:`repro.bdd.default_kernel_backend`
-    #: (which honours the ``REPRO_KERNEL_BACKEND`` env toggle).
-    kernel_backend: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.max_cluster_size < 1:
@@ -89,19 +71,6 @@ class RelationalPolicy:
             raise ValueError(
                 f"unknown beta backend {self.beta_backend!r}; valid: {BETA_BACKENDS}"
             )
-        if self.beta_product not in BETA_PRODUCTS:
-            raise ValueError(
-                f"unknown beta product strategy {self.beta_product!r}; "
-                f"valid: {BETA_PRODUCTS}"
-            )
-        if self.kernel_backend is not None:
-            from ..bdd import KERNEL_BACKENDS
-
-            if self.kernel_backend not in KERNEL_BACKENDS:
-                raise ValueError(
-                    f"unknown kernel backend {self.kernel_backend!r}; "
-                    f"valid: {KERNEL_BACKENDS}"
-                )
 
     @property
     def reorders(self) -> bool:
@@ -127,22 +96,19 @@ class RelationalPolicy:
             "reorder": self.reorder,
             "reorder_threshold": self.reorder_threshold,
             "beta_backend": self.beta_backend,
-            "beta_product": self.beta_product,
-            "kernel_backend": self.kernel_backend,
         }
 
     @classmethod
     def from_dict(cls, payload: Dict[str, object]) -> "RelationalPolicy":
-        return cls(
-            partition=payload.get("partition", True),
-            max_cluster_size=payload.get("max_cluster_size", 8),
-            cluster_node_limit=payload.get("cluster_node_limit", 5000),
-            reorder=payload.get("reorder", REORDER_NONE),
-            reorder_threshold=payload.get("reorder_threshold", 10000),
-            beta_backend=payload.get("beta_backend", BETA_RELATIONAL),
-            beta_product=payload.get("beta_product", BETA_PRODUCT_COFACTOR),
-            kernel_backend=payload.get("kernel_backend"),
-        )
+        """Rebuild a policy; absent keys take their defaults.
+
+        Unknown keys raise rather than being ignored: a typo or a
+        removed knob would otherwise silently load the defaults.
+        """
+        unknown = sorted(set(payload) - {spec.name for spec in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown relational policy keys: {unknown}")
+        return cls(**payload)
 
 
 #: The classical baseline: one monolithic conjunction, smoothed at the end.
@@ -161,17 +127,3 @@ def effective_beta_backend(policy: Optional["RelationalPolicy"]) -> str:
     policy-free campaign scenarios take the fast path.
     """
     return policy.beta_backend if policy is not None else BETA_RELATIONAL
-
-
-def effective_kernel_backend(policy: Optional["RelationalPolicy"]) -> str:
-    """The kernel backend a (possibly absent) policy selects.
-
-    An explicit ``kernel_backend`` on the policy wins; otherwise — and
-    for policy-free scenarios — the process default applies, so the
-    ``REPRO_KERNEL_BACKEND`` env toggle flips whole campaigns at once.
-    """
-    from ..bdd import default_kernel_backend
-
-    if policy is not None and policy.kernel_backend is not None:
-        return policy.kernel_backend
-    return default_kernel_backend()

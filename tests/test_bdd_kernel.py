@@ -26,30 +26,9 @@ import random
 
 import pytest
 
-from repro.bdd import BDDManager, converge_sift, create_manager, sift_variable, swap_adjacent
-from repro.bdd.vector import numpy_available
+from repro.bdd import BDDManager, converge_sift, sift_variable, swap_adjacent
 
 SEED = 20260730
-
-#: Run every test in this module on both kernel backends.  The vector
-#: leg is skipped when numpy is absent (its batch paths then fall back
-#: to the scalar loops anyway, which the dict leg already covers).
-KERNEL_BACKENDS_UNDER_TEST = [
-    "dict",
-    pytest.param(
-        "vector",
-        marks=pytest.mark.skipif(
-            not numpy_available(), reason="numpy not installed"
-        ),
-    ),
-]
-
-
-@pytest.fixture(autouse=True, params=KERNEL_BACKENDS_UNDER_TEST, ids=str)
-def kernel_backend(request, monkeypatch):
-    monkeypatch.setenv("REPRO_KERNEL_BACKEND", request.param)
-    return request.param
-
 
 
 def random_function(manager, rng, names, depth=4):
@@ -96,7 +75,7 @@ class TestMarkAndSweep:
 
     def test_sweep_keeps_exactly_the_held_roots(self):
         rng = random.Random(SEED)
-        manager = create_manager([f"v{i}" for i in range(8)])
+        manager = BDDManager([f"v{i}" for i in range(8)])
         names = list(manager.variables)
         kept = [random_function(manager, rng, names, depth=5) for _ in range(4)]
         dropped = [random_function(manager, rng, names, depth=5) for _ in range(4)]
@@ -113,7 +92,7 @@ class TestMarkAndSweep:
 
     def test_sweep_respects_explicit_roots(self):
         rng = random.Random(SEED + 1)
-        manager = create_manager([f"v{i}" for i in range(6)])
+        manager = BDDManager([f"v{i}" for i in range(6)])
         names = list(manager.variables)
         root = random_function(manager, rng, names, depth=5)
         handle = root.node_id
@@ -125,8 +104,8 @@ class TestMarkAndSweep:
     def test_collect_is_semantics_transparent(self):
         """Interleaved GC never changes any constructed function."""
         rng = random.Random(SEED + 2)
-        plain = create_manager([f"v{i}" for i in range(7)])
-        swept = create_manager([f"v{i}" for i in range(7)])
+        plain = BDDManager([f"v{i}" for i in range(7)])
+        swept = BDDManager([f"v{i}" for i in range(7)])
         names = [f"v{i}" for i in range(7)]
         plain_roots, swept_roots = [], []
         for round_index in range(12):
@@ -147,7 +126,7 @@ class TestFreeListReuse:
 
     def test_reclaimed_handles_leave_every_structure(self):
         rng = random.Random(SEED + 3)
-        manager = create_manager([f"v{i}" for i in range(8)])
+        manager = BDDManager([f"v{i}" for i in range(8)])
         names = list(manager.variables)
         keep = random_function(manager, rng, names, depth=5)
         for _ in range(3):
@@ -171,7 +150,7 @@ class TestFreeListReuse:
 
     def test_reuse_rearms_the_slot_with_fresh_contents(self):
         rng = random.Random(SEED + 4)
-        manager = create_manager([f"v{i}" for i in range(8)])
+        manager = BDDManager([f"v{i}" for i in range(8)])
         names = list(manager.variables)
         garbage = random_function(manager, rng, names, depth=5)
         del garbage
@@ -200,7 +179,7 @@ class TestFreeListReuse:
 
     def test_canonicity_across_collect_cycles(self):
         """Rebuilding a collected function finds a fresh, correct node."""
-        manager = create_manager(["a", "b", "c"])
+        manager = BDDManager(["a", "b", "c"])
 
         def build():
             return manager.apply_or(
@@ -224,9 +203,9 @@ class TestIndexAfterGC:
     NUM_VARS = 7
 
     def assert_index_exact(self, manager):
-        partition = {}
-        for (level, _lo, _hi), node in manager._unique.items():
-            partition.setdefault(level, set()).add(node.node_id)
+        partition = {
+            level: set(sub.values()) for level, sub in manager._table.items() if sub
+        }
         indexed = {
             level: set(bucket)
             for level, bucket in manager._level_index.items()
@@ -238,7 +217,7 @@ class TestIndexAfterGC:
 
     def test_random_op_gc_swap_sift_sequences(self):
         rng = random.Random(SEED + 5)
-        manager = create_manager([f"x{i}" for i in range(self.NUM_VARS)])
+        manager = BDDManager([f"x{i}" for i in range(self.NUM_VARS)])
         names = list(manager.variables)
         roots = [random_function(manager, rng, names, depth=5) for _ in range(3)]
         for _ in range(18):
@@ -325,7 +304,7 @@ class TestArenaSnapshots:
 
     def build(self, seed=SEED + 10):
         rng = random.Random(seed)
-        manager = create_manager([f"v{i}" for i in range(10)])
+        manager = BDDManager([f"v{i}" for i in range(10)])
         names = list(manager.variables)
         roots = [random_function(manager, rng, names, depth=5) for _ in range(4)]
         return manager, roots
@@ -352,7 +331,7 @@ class TestArenaSnapshots:
             json.dumps(manager.snapshot(roots, declares=manager.variables))
         )
         # Target declares two extra variables above, shifting every level.
-        target = create_manager(["extra0", "extra1"])
+        target = BDDManager(["extra0", "extra1"])
         restored = target.restore(payload)
         names = [f"v{i}" for i in range(10)]
         for original, copy in zip(roots, restored):
@@ -363,7 +342,7 @@ class TestArenaSnapshots:
         manager, _ = self.build()
         payload = manager.snapshot([manager.zero, manager.one])
         assert payload["roots"] == [0, 1]
-        target = create_manager()
+        target = BDDManager()
         zero, one = target.restore(payload)
         assert zero is target.zero and one is target.one
 
@@ -396,9 +375,39 @@ class TestArenaSnapshots:
         ]
         unknown_var["declares"] = []
         cases.append(unknown_var)
+        non_integer = json.loads(json.dumps(payload))
+        non_integer["lows"][0] = 2.5
+        cases.append(non_integer)
+        nonmono = json.loads(json.dumps(payload))
+        # Pull a child up to its parent's level: "does not sit below".
+        child = next(c for c in nonmono["lows"] if c >= 2)
+        parent = nonmono["lows"].index(child)
+        nonmono["levels"][child - 2] = nonmono["levels"][parent]
+        cases.append(nonmono)
         for case in cases:
             with pytest.raises(SnapshotError):
-                create_manager().restore(case)
+                BDDManager().restore(case)
+
+    def test_restore_into_collected_arena_reuses_free_list(self):
+        """Restore over live related nodes and a non-empty free-list."""
+        source, roots = self.build()
+        payload = source.snapshot(roots, declares=source.variables)
+        names = list(source.variables)
+        target = BDDManager(names)
+        rng = random.Random(SEED + 11)
+        kept = [random_function(target, rng, names, depth=5) for _ in range(3)]
+        garbage = [random_function(target, rng, names, depth=5) for _ in range(3)]
+        del garbage
+        target.collect()
+        free_before = set(target._free)
+        assert free_before
+        kept_counts = [target.sat_count(f, names) for f in kept]
+        restored = target.restore(payload)
+        assert free_before - set(target._free), "restore ignored the free-list"
+        for original, copy in zip(roots, restored):
+            assert source.sat_count(original, names) == target.sat_count(copy, names)
+        TestIndexAfterGC().assert_index_exact(target)
+        assert [target.sat_count(f, names) for f in kept] == kept_counts
 
     def test_failed_restore_leaves_no_stray_declarations(self):
         """A declares/level_names mismatch is refused before mutation."""
@@ -407,7 +416,7 @@ class TestArenaSnapshots:
         manager, roots = self.build()
         payload = json.loads(json.dumps(manager.snapshot(roots)))
         payload["declares"] = ["bogus0", "bogus1"]  # covers none of the names
-        target = create_manager()
+        target = BDDManager()
         with pytest.raises(SnapshotError):
             target.restore(payload)
         assert target.variables == (), "failed restore declared stray variables"
@@ -417,6 +426,6 @@ class TestArenaSnapshots:
 
         manager, roots = self.build()
         payload = json.loads(json.dumps(manager.snapshot(roots)))
-        target = create_manager([f"v{i}" for i in reversed(range(10))])
+        target = BDDManager([f"v{i}" for i in reversed(range(10))])
         with pytest.raises(SnapshotError):
             target.restore(payload)

@@ -43,6 +43,25 @@ class TestPolicyOnScenario:
         assert isinstance(scenario.relational, RelationalPolicy)
         assert scenario.relational.reorder_threshold == 5
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"partiton": False},  # a typo must not silently load the defaults
+            {"beta_product": "schedule"},  # removed knobs
+            {"kernel_backend": "vector"},
+        ],
+    )
+    def test_unknown_policy_keys_rejected(self, payload):
+        key = next(iter(payload))
+        with pytest.raises(ValueError, match=key):
+            RelationalPolicy.from_dict(payload)
+        with pytest.raises(ValueError, match=key):
+            Scenario(name="t/unknown", slots=(NORMAL,), relational=payload)
+        record = Scenario(name="t/unknown", slots=(NORMAL,)).to_dict()
+        record["relational"] = payload
+        with pytest.raises(ValueError, match=key):
+            Scenario.from_dict(record)
+
     def test_policy_joins_cache_key(self):
         plain = Scenario(name="t/a", slots=(NORMAL,))
         tuned = Scenario(name="t/a", slots=(NORMAL,), relational=SIFT_ALWAYS)
