@@ -9,7 +9,7 @@ scenarios.
 
 import pytest
 
-from repro.engine import Scenario, vsm_verification_scenario
+from repro.engine import Scenario, event_scenarios, vsm_verification_scenario
 from repro.strings import NORMAL
 
 from _bench_utils import campaign_runner, record_paper_comparison
@@ -102,3 +102,26 @@ def test_smoke_interrupts():
     good, bad = report.outcomes
     assert good.passed and not bad.passed
     assert bad.mismatches
+
+
+@pytest.mark.bench_smoke
+def test_smoke_paper_event_sweep():
+    """Fast tier: the paper's full four-slot event sweep, each slot with and
+    without the link bug (about a second under the selector-above-data
+    stimulus order).
+
+    Every verdict is asserted.  A broken link is invisible at slot 0,
+    where the interrupted PC is 0 and so is the unwritten link register;
+    it is caught at every later slot.
+    """
+    runner = campaign_runner()
+    report = runner.run(
+        event_scenarios(num_slots=4) + event_scenarios(num_slots=4, broken=True)
+    )
+    verdicts = {outcome.scenario: outcome.passed for outcome in report.outcomes}
+    assert all(outcome.error is None for outcome in report.outcomes)
+    assert verdicts == {
+        **{f"vsm/event/slot{slot}": True for slot in range(4)},
+        "vsm/event/slot0/broken-link": True,
+        **{f"vsm/event/slot{slot}/broken-link": False for slot in (1, 2, 3)},
+    }

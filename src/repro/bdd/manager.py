@@ -743,11 +743,25 @@ class BDDManager(BDDKernel):
             stack.pop()
         return cache[root] << index_of[level[root]]
 
-    def pick_assignment(self, f: BDD) -> Optional[Dict[str, bool]]:
-        """One satisfying assignment of ``f`` (minimal: only decided vars)."""
+    def pick_assignment(
+        self, f: BDD, order: Optional[Sequence[str]] = None
+    ) -> Optional[Dict[str, bool]]:
+        """One satisfying assignment of ``f`` (minimal: only decided vars).
+
+        Without ``order`` the low-first path is walked in this manager's
+        own variable order.  With ``order`` the result is the assignment a
+        manager declared in ``order`` would return, whatever order this
+        one uses: ``order`` is walked over ``f``'s support, a variable the
+        remaining function no longer depends on is skipped, and the others
+        take ``False`` when that cofactor is satisfiable, else ``True``
+        (ROBDD canonicity makes the two walks coincide).  Raises
+        :class:`BDDOrderError` if ``order`` does not cover the support.
+        """
         h = f._h
         if h == 0:
             return None
+        if order is not None:
+            return self._pick_in_order(f, order)
         level = self._level
         low = self._low
         high = self._high
@@ -761,6 +775,32 @@ class BDDManager(BDDKernel):
             else:
                 assignment[name] = True
                 h = high[h]
+        return assignment
+
+    def _pick_in_order(self, f: BDD, order: Sequence[str]) -> Dict[str, bool]:
+        """:meth:`pick_assignment` of a satisfiable ``f`` in ``order``."""
+        support = set(self.support(f))
+        missing = support.difference(order)
+        if missing:
+            raise BDDOrderError(
+                f"witness order misses support variables {sorted(missing)}"
+            )
+        assignment: Dict[str, bool] = {}
+        for name in order:
+            if f._h == 1:
+                break
+            if name not in support:
+                continue
+            low = self.cofactor(f, name, False)
+            high = self.cofactor(f, name, True)
+            if low._h == high._h:
+                continue
+            if low._h != 0:
+                assignment[name] = False
+                f = low
+            else:
+                assignment[name] = True
+                f = high
         return assignment
 
     def iter_assignments(

@@ -78,9 +78,9 @@ class VerificationReport:
     #: classical backend, which extracts nothing.
     extraction_cache: Dict[str, object] = field(default_factory=dict)
     #: Which beta backend produced the run (measurement, not verdict):
-    #: ``compose``, ``relational``, or ``relational+fallback`` when a
-    #: refuting relational run re-derived its records classically; empty
-    #: for non-beta drivers (events), which have a single code path.
+    #: ``compose`` or ``relational``, passing or refuting alike (both pick
+    #: witnesses in the same canonical order); empty for non-beta drivers
+    #: (events), which have a single code path.
     backend: str = ""
     #: Persistent-snapshot activity (measurement, not verdict): per-role
     #: restore/save timings and node counts when the run rehydrated its

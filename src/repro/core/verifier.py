@@ -25,21 +25,23 @@ specification in four phases:
 
 4. **Comparison.**  The sampled observable formulae are compared
    pairwise as canonical ROBDDs.  Any difference yields a mismatch
-   record with a concrete counterexample: an assignment of the
-   instruction variables and the initial state, decoded back into
+   record with a concrete counterexample: the minimal assignment of the
+   instruction variables and the initial state in the canonical
+   declaration order (:func:`witness_order`), decoded back into
    assembly for the report.
 
 This module keeps the public stimulus API (:class:`StimulusPlan`,
-:func:`build_stimulus`); the simulation orchestration itself lives in
-:mod:`repro.engine.executor`, and :func:`verify_beta_relation` is a thin
-adapter over that single engine code path — the same one that campaigns
+:func:`build_stimulus`, :func:`witness_order`); the simulation
+orchestration itself lives in :mod:`repro.engine.executor`, and
+:func:`verify_beta_relation` is a thin adapter over that single engine
+code path — the same one that campaigns
 (:class:`repro.engine.CampaignRunner`) execute and measure.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..bdd import BDDManager
 from ..logic import BitVec
@@ -91,6 +93,21 @@ def build_stimulus(
     return plan
 
 
+def witness_order(architecture: Architecture, siminfo: SimulationInfo) -> Tuple[str, ...]:
+    """The canonical variable order counterexamples are picked in.
+
+    It is the compose path's declaration order: the stimulus of
+    :func:`build_stimulus` (slot-major, each control slot's delay words
+    right after it), then the architecture's initial state.  Replaying
+    both on a throwaway manager makes it equal that order by
+    construction, whatever order the verifying manager uses.
+    """
+    throwaway = BDDManager()
+    build_stimulus(throwaway, architecture, siminfo)
+    architecture.make_initial_state(throwaway)
+    return throwaway.variables
+
+
 def verify_beta_relation(
     architecture: Architecture,
     siminfo: SimulationInfo,
@@ -112,9 +129,9 @@ def verify_beta_relation(
     :class:`~repro.relational.RelationalPolicy` — selects the classical
     compose path (``beta_backend="compose"``) and/or dynamic variable
     reordering between the simulation phases.  Verdicts are
-    byte-identical across backends: passing reports carry no witnesses,
-    and a refuting relational run re-derives its mismatch records on the
-    classical path.
+    byte-identical across backends and variable orders: both pick each
+    counterexample in :func:`witness_order`, not in their manager's
+    order.
     """
     from ..engine.executor import run_beta
 

@@ -81,17 +81,15 @@ def _maybe_reorder(
     the unique table holds the formulae the implementation phase will
     re-derive against); the sampled specification observables serve as
     sifting roots, making the size metric exact.  Reordering mutates
-    nodes function-preservingly, so the pass/fail verdict is unaffected
-    (a passing run's report is byte-identical; a failing run reports the
-    same mismatching observables, though a counterexample's don't-care
-    bits may legitimately differ — minimal witnesses follow the
-    order).  The campaign runner gives reordering scenarios a private
-    manager (a pooled table's size depends on campaign history, which
-    would make this trigger — and failing scenarios' counterexample
-    don't-cares — mode-dependent); a caller who sifts a pooled manager
-    directly is still covered by the pool's retire-on-reorder hook.  In this
-    pure-Python substrate a swap costs time proportional to the two
-    levels' populations, so mid-run sifting is an explicit opt-in
+    nodes function-preservingly, and counterexamples are picked in a
+    fixed canonical order rather than the manager's, so the verdict
+    bytes are unaffected.  The campaign runner gives thresholded
+    reordering scenarios a private manager (a pooled table's size
+    depends on campaign history, which would make this trigger — and
+    the reorder record — mode-dependent); a caller who sifts a pooled
+    manager directly is still covered by the pool's retire-on-reorder
+    hook.  In this pure-Python substrate a swap costs time proportional
+    to the two levels' populations, so mid-run sifting is an explicit opt-in
     (``RelationalPolicy.reorder``) with a bounded per-pass variable
     budget — worthwhile for order repair on long-lived managers and for
     relational image workloads, not for shaving one functional run.
@@ -346,7 +344,7 @@ def _run_beta_compose(
     models=None,
 ) -> VerificationReport:
     """The classical beta path: functional simulation by composition."""
-    from ..core.verifier import build_stimulus
+    from ..core.verifier import build_stimulus, witness_order
 
     specification, implementation = (
         models
@@ -394,6 +392,7 @@ def _run_beta_compose(
             impl_samples,
             spec_cycles,
             impl_cycles,
+            witness_order(architecture, siminfo),
         )
     comparison_seconds = time.perf_counter() - started
 
@@ -430,15 +429,15 @@ def _run_beta_relational(
     ``models`` is the (specification, implementation) pair the
     dispatcher already built and protocol-checked.
 
-    On a mismatch the classical path is re-run on a fresh manager and
-    *its* report returned: the relational backend proves or refutes the
-    relation under its own (selector-above-data) variable order, whose
-    minimal witnesses would decode to different — though equally valid —
-    counterexample bits; canonicity guarantees both backends refute
-    exactly the same (sample, observable) pairs, and the golden
-    counterexample suite pins the records down byte for byte.
+    The relation is proved or refuted under the backend's own
+    (selector-above-data) variable order.  Canonicity makes both
+    backends refute exactly the same (sample, observable) pairs, and
+    each witness is picked in the compose path's declaration order
+    (:func:`repro.core.verifier.witness_order`), so a refuting run
+    reports the compose backend's records byte for byte — the golden
+    counterexample suite pins them down.
     """
-    from ..core.verifier import build_stimulus
+    from ..core.verifier import build_stimulus, witness_order
     from ..relational.beta import beta_stimulus_order, cached_extract_steppers
 
     specification, implementation = models
@@ -531,25 +530,9 @@ def _run_beta_relational(
             impl_samples,
             spec_cycles,
             ordered_cycles,
+            witness_order(architecture, siminfo),
         )
     comparison_seconds = time.perf_counter() - started
-
-    if mismatches:
-        # Witness bits follow the variable order; re-derive the records
-        # on the classical path so failing verdicts are byte-identical
-        # to the compose backend's (same mismatch set by canonicity).
-        report = _run_beta_compose(
-            architecture,
-            siminfo,
-            BDDManager(),
-            impl_kwargs,
-            observation,
-            relational,
-        )
-        report.backend = "relational+fallback"
-        report.extraction_cache = dict(extraction_record)
-        report.snapshot = dict(snapshot_record)
-        return report
 
     report = _beta_report(
         architecture,
@@ -581,13 +564,15 @@ def _compare_samples(
     impl_samples: Sequence[Dict[str, BitVec]],
     spec_cycles: Sequence[int],
     impl_cycles: Sequence[int],
+    witness_order: Sequence[str],
 ) -> List[Mismatch]:
     """Pairwise canonical comparison of the sampled observables.
 
     Shared verbatim by both beta backends: the samples are canonical
     ROBDDs of the same Boolean functions, so the mismatch *set* cannot
-    depend on the backend — only witness bits can, which is why the
-    relational backend defers failing records to the classical path.
+    depend on the backend.  Witnesses are picked in ``witness_order``
+    (both backends pass the compose declaration order), so their bits
+    depend neither on the backend nor on sifting.
     """
     labelled_vectors = [
         (f"instr{index}", vector) for index, vector in enumerate(plan.slot_instructions)
@@ -609,7 +594,9 @@ def _compare_samples(
             impl_value = impl_obs[name]
             if spec_value.identical(impl_value):
                 continue
-            witness = find_distinguishing_assignment(manager, spec_value.bits, impl_value.bits)
+            witness = find_distinguishing_assignment(
+                manager, spec_value.bits, impl_value.bits, witness_order
+            )
             decoded, words = decode_counterexample(
                 architecture, labelled_vectors, witness or {}
             )
@@ -701,6 +688,7 @@ def run_events(
         SymbolicPipelinedVSMWithEvents,
         SymbolicUnpipelinedVSMWithEvents,
     )
+    from ..relational.beta import selector_above_data_order
 
     manager = manager if manager is not None else BDDManager()
     observation = observation if observation is not None else vsm_observables()
@@ -725,7 +713,24 @@ def run_events(
         for index, kind in enumerate(siminfo.slots)
     )
 
-    # Stimulus: instruction variables above the register data variables.
+    # Squashed (smoothed) words behind every control-transfer or event slot.
+    # Events are taken when the affected instruction reaches the execute
+    # stage, so two younger fetch slots are squashed; ordinary branches
+    # squash one (the architectural delay slot).
+    squashed_labels = {}
+    for index, kind in enumerate(siminfo.slots):
+        count = 2 if index in event_set else (1 if kind == CONTROL else 0)
+        if count:
+            squashed_labels[index] = [f"squashed{index}.{j}" for j in range(count)]
+
+    # Stimulus order: selector above data (Section 3.2) — later slots
+    # first, each slot's squashed words directly above it, register data
+    # below all of them.  Witnesses do not depend on it (see below).
+    manager.declare_all(
+        selector_above_data_order(
+            vsm_isa.INSTRUCTION_WIDTH, siminfo.num_slots, squashed_labels
+        )
+    )
     instructions: List[BitVec] = []
     free_bits = 0
     for index, kind in enumerate(siminfo.slots):
@@ -739,19 +744,11 @@ def run_events(
                 bits.append(manager.var(f"instr{index}[{bit}]"))
                 free_bits += 1
         instructions.append(BitVec.from_bits(manager, bits))
-    # Squashed (smoothed) words behind every control-transfer or event slot.
-    # Events are taken when the affected instruction reaches the execute
-    # stage, so two younger fetch slots are squashed; ordinary branches
-    # squash one (the architectural delay slot).
-    squashed = {}
-    for index, kind in enumerate(siminfo.slots):
-        count = 2 if index in event_set else (1 if kind == CONTROL else 0)
-        if count:
-            squashed[index] = [
-                BitVec.inputs(manager, f"squashed{index}.{j}", vsm_isa.INSTRUCTION_WIDTH)
-                for j in range(count)
-            ]
-            free_bits += count * vsm_isa.INSTRUCTION_WIDTH
+    squashed = {
+        index: [BitVec.inputs(manager, label, vsm_isa.INSTRUCTION_WIDTH) for label in labels]
+        for index, labels in squashed_labels.items()
+    }
+    free_bits += sum(len(labels) for labels in squashed.values()) * vsm_isa.INSTRUCTION_WIDTH
 
     if symbolic_initial_state:
         registers = symbolic_register_file(manager, vsm_isa.NUM_REGISTERS, vsm_isa.DATA_WIDTH)
@@ -826,6 +823,15 @@ def run_events(
             (f"squashed{index}.{j}", vector) for j, vector in enumerate(squashed_list)
         )
     disassembler = VSMArchitecture()
+    # Witnesses are picked in the classical declaration order (slot-major
+    # instruction bits, then squashed words by slot, then init.reg), so
+    # they do not depend on the order the manager computes in.
+    witness_order = [
+        name
+        for vector in [vector for _, vector in labelled_vectors] + (registers or [])
+        for bit in vector.bits
+        for name in manager.support(bit)
+    ]
 
     # --- Comparison ---------------------------------------------------------
     started = time.perf_counter()
@@ -837,7 +843,7 @@ def run_events(
                 if spec_obs[name].identical(impl_obs[name]):
                     continue
                 witness = find_distinguishing_assignment(
-                    manager, spec_obs[name].bits, impl_obs[name].bits
+                    manager, spec_obs[name].bits, impl_obs[name].bits, witness_order
                 )
                 decoded, words = decode_counterexample(
                     disassembler, labelled_vectors, witness or {}

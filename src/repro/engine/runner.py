@@ -236,8 +236,8 @@ def _execute_pooled(
             # the sifting trigger compares the table size against the policy
             # threshold, and a pooled manager's table carries whatever
             # earlier scenarios left in it — the trigger (and with it the
-            # counterexample don't-cares) would then depend on campaign
-            # history, breaking serial/parallel verdict parity.  With a zero
+            # reorder record) would then depend on campaign history and
+            # differ between serial and parallel runs.  With a zero
             # threshold the trigger is unconditional and the sift metric is
             # exact over the scenario's own sample roots, so default-sifting
             # scenarios may share pooled managers; the pool retires each

@@ -41,10 +41,12 @@ Because every observable the backend produces is the canonical ROBDD of
 the same Boolean function the functional path builds, the sampled
 observations — and therefore the pass/fail verdict — are *node
 identical* on a shared manager and byte-identical across backends.
-Counterexample witness bits, however, follow the variable order, so the
-backend declares its own (selector-above-data) stimulus order and, on
-any mismatch, the executor re-runs the classical path to produce the
-exact witness records the compose backend would have reported.
+Counterexamples are order-free too: the backend declares its own
+(selector-above-data) stimulus order, and the executor picks each
+witness in the compose path's declaration order instead of the
+manager's (:meth:`~repro.bdd.BDDManager.pick_assignment` with
+``order``), which yields exactly the records the compose backend
+reports.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from __future__ import annotations
 import time
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..bdd import BDDManager, BDDNode
+from ..bdd import BDDManager, BDDNode, bit_names
 from ..bdd.kernel import SnapshotError, pack_snapshot
 from ..logic import BitVec
 from ..strings import CONTROL
@@ -77,29 +79,43 @@ def supports_state_injection(model) -> bool:
     return all(callable(getattr(model, name, None)) for name in PROTOCOL_METHODS)
 
 
-def beta_stimulus_order(architecture, siminfo) -> List[str]:
-    """Selector-above-data stimulus variable order for the beta backend.
+def selector_above_data_order(
+    width: int, num_slots: int, words_behind: Mapping[int, Sequence[str]]
+) -> List[str]:
+    """Selector-above-data stimulus variable order.
 
-    Later slots' instruction bits act as selectors (register addresses,
-    opcodes) over datapath formulae built from the *earlier* slots, so
-    they are declared first — the reverse of the classical slot-major
-    order — with each control slot's fully symbolic delay words directly
-    above it.  On the k=4 late-branch window this order alone shrinks
-    the functional construction by an order of magnitude; the relational
-    backend both declares it and exploits it.  (Initial-state variables
-    stay below all instruction variables, exactly as on the classical
-    path.)
+    Later slots' instruction bits ``instr{i}[bit]`` act as selectors
+    (register addresses, opcodes) over datapath formulae built from the
+    *earlier* slots, so they are declared first — the reverse of the
+    classical slot-major order — with the fully symbolic words fetched
+    behind slot ``i`` (``words_behind[i]``: delay-slot or squashed-fetch
+    labels) directly above it.  Initial-state variables are declared
+    afterwards, below all of these (Section 3.2's ordering discussion).
     """
-    width = architecture.instruction_width
     names: List[str] = []
-    for index in reversed(range(siminfo.num_slots)):
-        if siminfo.slots[index] == CONTROL and architecture.delay_slots:
-            for slot in range(architecture.delay_slots):
-                names.extend(
-                    f"delay{index}.{slot}[{bit}]" for bit in range(width)
-                )
-        names.extend(f"instr{index}[{bit}]" for bit in range(width))
+    for index in reversed(range(num_slots)):
+        for label in words_behind.get(index, ()):
+            names.extend(bit_names(label, width))
+        names.extend(bit_names(f"instr{index}", width))
     return names
+
+
+def beta_stimulus_order(architecture, siminfo) -> List[str]:
+    """The beta backend's :func:`selector_above_data_order`.
+
+    Each control slot's delay words sit directly above it.  On the k=4
+    late-branch window this order alone shrinks the functional
+    construction by an order of magnitude; the relational backend both
+    declares it and exploits it.
+    """
+    words_behind = {
+        index: [f"delay{index}.{slot}" for slot in range(architecture.delay_slots)]
+        for index, kind in enumerate(siminfo.slots)
+        if kind == CONTROL
+    }
+    return selector_above_data_order(
+        architecture.instruction_width, siminfo.num_slots, words_behind
+    )
 
 
 class MachineStepper:

@@ -19,7 +19,7 @@ import random
 
 import pytest
 
-from repro.bdd import BDDManager
+from repro.bdd import BDDManager, BDDOrderError
 
 SEED = 20260729
 #: Cases per operator family (>= 200 each per the campaign-engine issue).
@@ -315,3 +315,45 @@ class TestCountingQueries:
             else:
                 env = {name: witness.get(name, False) for name in VARIABLES}
                 assert manager.evaluate(node, env) is True
+
+
+#: Up to eight variables for the ordered-pick property (8! orders).
+ORDER_VARIABLES = ("a", "b", "c", "d", "e", "f", "g", "h")
+
+
+class TestOrderedPick:
+    """``pick_assignment(f, order)`` is the pick of a manager declared in ``order``."""
+
+    def test_matches_a_fresh_manager_declared_in_the_order(self):
+        rng = random.Random(SEED + 19)
+        for index in range(CASES):
+            build, _ = random_expression(rng, 5, ORDER_VARIABLES)
+            computing_order = list(ORDER_VARIABLES)
+            rng.shuffle(computing_order)
+            order = list(ORDER_VARIABLES)
+            rng.shuffle(order)
+            computing = BDDManager(variables=computing_order)
+            reference = BDDManager(variables=order)
+            expected = reference.pick_assignment(build(reference))
+            actual = computing.pick_assignment(build(computing), order)
+            assert actual == expected, f"case {index}"
+            if expected is not None:
+                # Same decision sequence, not just the same set of literals.
+                assert list(actual) == list(expected), f"case {index}"
+
+    def test_constants(self):
+        manager = BDDManager(variables=ORDER_VARIABLES)
+        assert manager.pick_assignment(manager.zero, ORDER_VARIABLES) is None
+        assert manager.pick_assignment(manager.one, ORDER_VARIABLES) == {}
+        assert manager.pick_assignment(manager.one, ()) == {}
+
+    def test_order_may_name_more_than_the_support(self):
+        manager = BDDManager(variables=("a", "b"))
+        f = manager.apply_and(manager.var("b"), manager.nvar("a"))
+        assert manager.pick_assignment(f, ["zz", "b", "c", "a"]) == {"b": True, "a": False}
+
+    def test_uncovered_support_raises(self):
+        manager = BDDManager(variables=("a", "b"))
+        f = manager.apply_or(manager.var("a"), manager.var("b"))
+        with pytest.raises(BDDOrderError, match="'b'"):
+            manager.pick_assignment(f, ["a"])

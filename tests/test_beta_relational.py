@@ -18,12 +18,14 @@ verdict byte-identity at engine level lives in
 ``tests/test_engine_differential.py``.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.bdd import BDDManager
 from repro.core.architectures import Alpha0Architecture, VSMArchitecture
 from repro.core.siminfo import SimulationInfo
-from repro.core.verifier import build_stimulus, verify_beta_relation
+from repro.core.verifier import build_stimulus, verify_beta_relation, witness_order
 from repro.logic import BitVec
 from repro.processors import SymbolicAlpha0Options
 from repro.processors.sym_alpha0 import decode_fields, encode_fields
@@ -304,7 +306,32 @@ class TestBackendDispatch:
             VSMArchitecture(), siminfo, impl_kwargs={"bug": "and_becomes_or"}
         )
         assert not failing.passed
-        assert failing.backend == "relational+fallback"
+        assert failing.backend == "relational"
+
+    @pytest.mark.parametrize(
+        "architecture",
+        [
+            VSMArchitecture(),
+            VSMArchitecture(symbolic_initial_state=True),
+            SMALL_ALPHA0,
+            replace(SMALL_ALPHA0, symbolic_initial_state=True),
+        ],
+        ids=["vsm", "vsm-symbolic", "alpha0", "alpha0-symbolic"],
+    )
+    def test_witness_order_is_the_compose_declaration_order(self, architecture):
+        """Guard: the replayed witness order is every variable a full
+        compose run declares, in its order — a model that declared a
+        variable lazily mid-run would make the two differ."""
+        siminfo = SimulationInfo(reset_cycles=1, slots=(CONTROL, NORMAL))
+        manager = BDDManager()
+        report = verify_beta_relation(
+            architecture,
+            siminfo,
+            manager=manager,
+            relational=RelationalPolicy(beta_backend=BETA_COMPOSE),
+        )
+        assert report.passed
+        assert witness_order(architecture, siminfo) == manager.variables
 
     def test_stimulus_order_matches_the_stimulus_plan(self):
         """Pre-declared names are exactly the plan's variable families."""

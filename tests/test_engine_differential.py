@@ -259,7 +259,7 @@ class TestBetaBackendDifferential:
         relational, compose = run_both_backends(slots=slots, bug=bug)
         assert not relational.passed and not compose.passed
         assert verdict_bytes(relational) == verdict_bytes(compose)
-        assert relational.backend == "relational+fallback"
+        assert relational.backend == "relational"
 
     def test_vsm_symbolic_initial_state(self):
         relational, compose = run_both_backends(

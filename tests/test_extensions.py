@@ -62,6 +62,63 @@ class TestInterruptModels:
         with pytest.raises(ValueError):
             verify_with_events(all_normal(4), event_slots=[9])
 
+    def test_stimulus_order_is_selector_above_data(self):
+        """Later slots above earlier ones, squashed words directly above
+        their slot, register data below all of them."""
+        manager = BDDManager()
+        report = verify_with_events(
+            SimulationInfo(reset_cycles=1, slots=(NORMAL, CONTROL, NORMAL)),
+            event_slots=[2],
+            manager=manager,
+            symbolic_initial_state=True,
+        )
+        assert report.passed, report.summary()
+        names = manager.variables
+        assert len(names) == len(set(names))
+        first_of = {}
+        for position, name in enumerate(names):
+            first_of.setdefault(name.split("[")[0], position)
+        assert (
+            first_of["squashed2.0"]
+            < first_of["squashed2.1"]
+            < first_of["instr2"]
+            < first_of["squashed1.0"]
+            < first_of["instr1"]
+            < first_of["instr0"]
+            < first_of["init.reg0"]
+        )
+        # The stimulus is declared up front: only the register file follows.
+        assert all(name.startswith("init.reg") for name in names[first_of["init.reg0"]:])
+
+    def test_counterexamples_do_not_depend_on_the_computing_order(self):
+        """A manager pre-declared in the classical slot-major order reports
+        the same witnesses as the default selector-above-data run."""
+        siminfo = SimulationInfo(reset_cycles=1, slots=(NORMAL, NORMAL, NORMAL))
+        classical = BDDManager()
+        classical.declare_all(
+            [f"instr{slot}[{bit}]" for slot in range(3) for bit in range(13)]
+            + [f"squashed2.{j}[{bit}]" for j in range(2) for bit in range(13)]
+        )
+        reports = [
+            verify_with_events(
+                siminfo,
+                event_slots=[2],
+                manager=manager,
+                impl_kwargs={"bug": "and_becomes_or"},
+            )
+            for manager in (BDDManager(), classical)
+        ]
+        assert classical.variables[0] == "instr0[0]"  # it kept its order
+        default, reference = reports
+        assert not default.passed
+        assert [
+            (m.sample_index, m.observable, m.counterexample, m.instruction_words)
+            for m in default.mismatches
+        ] == [
+            (m.sample_index, m.observable, m.counterexample, m.instruction_words)
+            for m in reference.mismatches
+        ]
+
     def test_dynamic_filter_marks_event_slot_like_control(self):
         report = verify_with_events(all_normal(4), event_slots=[0])
         assert report.slot_kinds[0] == CONTROL

@@ -83,11 +83,12 @@ def test_counterexamples_decode_to_the_same_sequences(name, outcomes):
 def test_beta_goldens_exercise_the_relational_backend(outcomes):
     """The default (relational) beta backend reproduces every stored
     counterexample: it refutes exactly the scenarios the compose path
-    refutes, then re-derives the byte-identical records classically."""
+    refutes and picks each witness in the compose declaration order, so
+    its records are byte-identical without a classical re-run."""
     beta_outcomes = [o for o in outcomes.values() if o.kind == "beta"]
     assert beta_outcomes
     for outcome in beta_outcomes:
-        assert outcome.backend == "relational+fallback", outcome.scenario
+        assert outcome.backend == "relational", outcome.scenario
 
 
 @pytest.mark.parametrize("name", sorted(GOLDENS))

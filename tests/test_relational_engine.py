@@ -6,6 +6,8 @@ invariant: campaign verdicts are byte-identical with and without
 dynamic reordering.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro.bdd import BDDManager, swap_adjacent
@@ -15,7 +17,7 @@ from repro.engine import (
     RelationalPolicy,
     Scenario,
 )
-from repro.relational.policy import MONOLITHIC_POLICY
+from repro.relational.policy import BETA_COMPOSE, BETA_RELATIONAL, MONOLITHIC_POLICY
 from repro.strings import CONTROL, NORMAL
 
 #: A policy that always sifts (threshold 0) — small scenarios only.
@@ -181,25 +183,33 @@ class TestVerdictsUnderReordering:
         assert self.verdicts(monolithic) == reference
 
     def test_failing_scenario_still_fails_identically(self):
-        plain = Scenario(
-            name="t/no-annul", slots=(CONTROL, NORMAL), bug="no_annul"
-        )
-        sifted = Scenario(
-            name="t/no-annul",
-            slots=(CONTROL, NORMAL),
-            bug="no_annul",
-            relational=SIFT_ALWAYS,
-        )
-        runner_a, runner_b = CampaignRunner(), CampaignRunner()
-        out_a = runner_a.run_one(plain)
-        out_b = runner_b.run_one(sifted)
-        assert not out_a.passed and not out_b.passed
-        # The same observables mismatch at the same samples; witnesses may
-        # legitimately differ (minimal assignments follow the order).
+        def run(scenario):
+            report = CampaignRunner().run([scenario])
+            return report.outcomes[0], report.verdict_json()
+
         keys = lambda out: sorted(  # noqa: E731
             (m["sample_index"], m["observable"]) for m in out.mismatches
         )
-        assert keys(out_a) == keys(out_b)
+        out_a, reference = run(
+            Scenario(name="t/no-annul", slots=(CONTROL, NORMAL), bug="no_annul")
+        )
+        assert not out_a.passed
+        for backend in (BETA_RELATIONAL, BETA_COMPOSE):
+            out_b, sifted = run(
+                Scenario(
+                    name="t/no-annul",
+                    slots=(CONTROL, NORMAL),
+                    bug="no_annul",
+                    relational=replace(SIFT_ALWAYS, beta_backend=backend),
+                )
+            )
+            assert not out_b.passed
+            assert out_b.reorder, backend  # the manager really was sifted
+            # The same observables mismatch at the same samples...
+            assert keys(out_a) == keys(out_b)
+            # ...with the same witnesses: they are picked in a canonical
+            # order, not the sifted one.
+            assert sifted == reference, backend
 
     def test_reorder_activity_is_recorded_as_measurement(self):
         sifted = Scenario(
