@@ -124,3 +124,18 @@ def test_smoke_alpha0_verification():
         )
     )
     assert outcome.passed, outcome.mismatches
+
+
+@pytest.mark.bench_smoke
+def test_smoke_alpha0_operate_pass_cold():
+    """Fast tier: the Section 6.3 condensed operate pass (``r 0 0 1 0 0``),
+    extracted cold on a fresh runner — affordable for smoke only because
+    the relation variables are declared selector-above-data."""
+    outcome = campaign_runner().run_one(
+        alpha0_operate_scenario(alpha0=CONDENSED_ALPHA0_SPEC)
+    )
+    assert outcome.passed, outcome.mismatches
+    assert outcome.extraction_cache["spec"] == "miss"
+    assert outcome.extraction_cache["impl"] == "miss"
+    assert outcome.structure["specification_cycles"] == 26
+    assert outcome.structure["implementation_cycles"] == 11

@@ -21,7 +21,9 @@ outgrows it, :mod:`repro.bdd.reorder` moves variables dynamically
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, Iterable, List, Sequence, TypeVar
+
+T = TypeVar("T")
 
 
 def bit_names(prefix: str, width: int) -> List[str]:
@@ -29,13 +31,15 @@ def bit_names(prefix: str, width: int) -> List[str]:
     return [f"{prefix}[{i}]" for i in range(width)]
 
 
-def interleave(*groups: Sequence[str]) -> List[str]:
+def interleave(*groups: Sequence[T]) -> List[T]:
     """Interleave several equally long (or ragged) name groups.
 
     ``interleave(a_bits, b_bits)`` yields ``a[0], b[0], a[1], b[1], ...``,
-    the order recommended for word-level arithmetic operands.
+    the order recommended for word-level arithmetic operands.  Any
+    items interleave the same way; the symbolic models interleave
+    ``(field, bit)`` pairs.
     """
-    order: List[str] = []
+    order: List[T] = []
     longest = max((len(group) for group in groups), default=0)
     for position in range(longest):
         for group in groups:

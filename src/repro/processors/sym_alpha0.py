@@ -22,10 +22,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..bdd import BDDManager, BDDNode
+from ..bdd import BDDManager, BDDNode, interleave
 from ..isa import alpha0 as isa
 from ..logic import BitVec
-from .symbolic import constant_register_file, read_register, write_register
+from .symbolic import (
+    constant_register_file,
+    read_register,
+    state_bits,
+    write_register,
+)
 
 PC_WIDTH = isa.PC_WIDTH
 
@@ -422,6 +427,10 @@ class SymbolicUnpipelinedAlpha0(_Alpha0SymbolicBase):
         layout += [("pc", PC_WIDTH), ("retired_op", 6), ("retired_dest", 5)]
         return layout
 
+    def state_order(self) -> List[Tuple[str, int]]:
+        """Relation-variable declaration order: the layout order."""
+        return [(field, bit) for field, width in self.state_layout() for bit in range(width)]
+
     def state_formulae(self) -> Dict[str, BitVec]:
         """Current latch contents, keyed by :meth:`state_layout` field name."""
         state = {f"reg{i}": value for i, value in enumerate(self.registers)}
@@ -773,6 +782,59 @@ class SymbolicPipelinedAlpha0(_Alpha0SymbolicBase):
         layout += [(f"ex.{field}", bits) for field, bits in result_latch]
         layout += [(f"wb.{field}", bits) for field, bits in result_latch]
         return layout
+
+    def state_order(self) -> List[Tuple[str, int]]:
+        """Relation-variable declaration order: selectors above data.
+
+        Section 3.2's rule applied to the latches.  The latched opcode
+        and function bits, which select among every datapath formula,
+        sit on top under their validity bits; the PC adders' operands
+        (the latched PCs and the low word bits) are interleaved; the
+        destination specifiers and write enables come next; and the
+        data words — memory, registers, the decode latch's literal and
+        operands, the result latches' values — are interleaved bit by
+        bit at the bottom, below everything that selects them.
+        """
+        options = self.options
+        widths = dict(self.state_layout())
+        decode = [*range(26, 32), *range(5, 12)]
+        literal = range(13, 13 + min(options.data_width, 8))
+
+        def word(field, positions):
+            return [(field, bit) for bit in positions]
+
+        order = (
+            state_bits(widths, "if.valid")
+            + word("if.word", decode)
+            + state_bits(widths, "id.valid")
+            + word("id.word", decode)
+        )
+        order += state_bits(widths, "fetch_pc", "arch_pc", "retired_op", "retired_dest")
+        order += interleave(
+            state_bits(widths, "if.pc"),
+            word("if.word", range(5)),
+            state_bits(widths, "id.pc"),
+            word("id.word", range(5)),
+        )
+        order += word("if.word", range(12, 26))
+        order += word("id.word", [bit for bit in range(13, 26) if bit not in literal])
+        order += state_bits(
+            widths, "ex.wr", "ex.valid", "ex.dest", "wb.wr", "wb.valid", "wb.dest"
+        )
+        order += word("id.word", [12])
+        order += interleave(
+            *(state_bits(widths, f"mem{i}") for i in range(options.memory_words)),
+            *(state_bits(widths, f"reg{i}") for i in range(options.num_registers)),
+            word("id.word", literal),
+            state_bits(widths, "id.a"),
+            state_bits(widths, "id.b"),
+            state_bits(widths, "ex.value"),
+            state_bits(widths, "wb.value"),
+        )
+        order += state_bits(
+            widths, "ex.opcode", "ex.rdest", "ex.pc", "wb.opcode", "wb.rdest", "wb.pc"
+        )
+        return order
 
     def state_formulae(self) -> Dict[str, BitVec]:
         """Current latch contents, keyed by :meth:`state_layout` field name."""

@@ -18,10 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..bdd import BDDManager, BDDNode
+from ..bdd import BDDManager, BDDNode, interleave
 from ..isa import vsm as isa
 from ..logic import BitVec
-from .symbolic import constant_register_file, read_register, write_register
+from .symbolic import (
+    constant_register_file,
+    read_register,
+    state_bits,
+    write_register,
+)
 
 DATA_WIDTH = isa.DATA_WIDTH
 PC_WIDTH = isa.PC_WIDTH
@@ -187,6 +192,10 @@ class SymbolicUnpipelinedVSM:
         layout = [(f"reg{i}", DATA_WIDTH) for i in range(NUM_REGISTERS)]
         layout += [("pc", PC_WIDTH), ("retired_op", 3), ("retired_dest", 3)]
         return layout
+
+    def state_order(self) -> List[Tuple[str, int]]:
+        """Relation-variable declaration order: the layout order."""
+        return [(field, bit) for field, width in self.state_layout() for bit in range(width)]
 
     def state_formulae(self) -> Dict[str, BitVec]:
         """Current latch contents, keyed by :meth:`state_layout` field name."""
@@ -425,9 +434,10 @@ class SymbolicPipelinedVSM:
     def state_layout(self) -> List[tuple]:
         """Flattened machine state — architectural plus every pipeline latch.
 
-        Field order is the declaration order
-        :func:`repro.relational.models.pipelined_vsm_relation` uses when
-        it lays out present/next variable pairs.
+        Field order is the canonical bit partition only, not a variable
+        order: :func:`repro.relational.models.pipelined_vsm_relation`
+        declares the latch fields before the architectural ones, and the
+        beta backend declares :meth:`state_order`.
         """
         layout = [(f"reg{i}", DATA_WIDTH) for i in range(NUM_REGISTERS)]
         layout += [
@@ -454,6 +464,42 @@ class SymbolicPipelinedVSM:
             ("ex.valid", 1),
         ]
         return layout
+
+    def state_order(self) -> List[Tuple[str, int]]:
+        """Relation-variable declaration order: selectors above data.
+
+        Section 3.2's rule applied to the latches: the opcode and
+        literal-flag bits on top under their validity bits, then the PC
+        adders' operands interleaved with the ``ra`` specifiers, the
+        ``rb`` specifiers interleaved with the write-back destination,
+        and the register file and operand/result words at the bottom.
+        """
+        widths = dict(self.state_layout())
+
+        def word(positions):
+            return [("if.word", bit) for bit in positions]
+
+        order = state_bits(widths, "if.valid") + word(range(9, 13))
+        order += state_bits(widths, "id.valid", "id.opcode", "id.lit")
+        order += state_bits(widths, "fetch_pc", "arch_pc", "retired_op", "retired_dest")
+        order += interleave(
+            state_bits(widths, "if.pc"),
+            word(range(6, 9)),
+            state_bits(widths, "id.pc"),
+            state_bits(widths, "id.ra"),
+        )
+        order += interleave(
+            word(range(3, 6)), state_bits(widths, "id.rb"), state_bits(widths, "ex.dest")
+        )
+        order += word(range(3)) + state_bits(widths, "id.rc", "ex.valid")
+        order += state_bits(widths, *(f"reg{i}" for i in range(NUM_REGISTERS)))
+        order += interleave(
+            state_bits(widths, "id.a"),
+            state_bits(widths, "id.b"),
+            state_bits(widths, "ex.value"),
+        )
+        order += state_bits(widths, "ex.opcode", "ex.pc")
+        return order
 
     def state_formulae(self) -> Dict[str, BitVec]:
         """Current latch contents, keyed by :meth:`state_layout` field name.

@@ -25,7 +25,7 @@ All symbolic models implement the small protocol below:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..bdd import BDDManager, BDDNode
 from ..logic import BitVec
@@ -53,6 +53,14 @@ def symbolic_memory(
 def constant_register_file(manager: BDDManager, count: int, width: int) -> List[BitVec]:
     """An all-zero register file (the concrete reset state)."""
     return [BitVec.constant(manager, 0, width) for _ in range(count)]
+
+
+def state_bits(widths: Mapping[str, int], *fields: str) -> List[Tuple[str, int]]:
+    """Every ``(field, bit)`` pair of ``fields``, field by field, LSB first.
+
+    The building block of the models' ``state_order`` declarations.
+    """
+    return [(field, bit) for field in fields for bit in range(widths[field])]
 
 
 def write_register(

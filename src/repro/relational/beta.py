@@ -37,6 +37,16 @@ Latch fields gated by a constant-0 validity guard
 (:meth:`state_guards`) are not computed at all: canonicity guarantees
 the observables cannot depend on them.
 
+The relation variables are declared in the model's own
+``state_order()``, a permutation of the layout bits.  The pipelined
+models put the latched opcode and register-specifier bits *above* the
+register file, memory and operand words they select over, and
+interleave adder operands (Section 3.2); declared field by field in
+layout order instead, the full-size Alpha0 implementation relation
+took 1.68M nodes and ~53 s to extract, against 112k nodes and under a
+second.  The order is a pure cost choice: every sampled observable is
+a canonical function over the stimulus variables only.
+
 Because every observable the backend produces is the canonical ROBDD of
 the same Boolean function the functional path builds, the sampled
 observations — and therefore the pass/fail verdict — are *node
@@ -71,6 +81,7 @@ PROTOCOL_METHODS = (
     "load_state",
     "observable_fields",
     "state_guards",
+    "state_order",
 )
 
 
@@ -136,12 +147,15 @@ class MachineStepper:
         input_names: Sequence[str],
         fetch_valid_name: Optional[str],
         next_functions: Dict[Tuple[str, int], BDDNode],
+        order: Sequence[Tuple[str, int]],
         supports: Optional[Dict[Tuple[str, int], Tuple[str, ...]]] = None,
     ) -> None:
         self.manager = manager
         self.model = model
         self.prefix = prefix
         self.layout = list(layout)
+        #: The ``(field, bit)`` declaration order of the relation variables.
+        self.order = list(order)
         self.input_names = list(input_names)
         self.fetch_valid_name = fetch_valid_name
         self.next_functions = next_functions
@@ -186,17 +200,23 @@ class MachineStepper:
         ``advance(model, word, fetch_valid)`` drives the machine through
         one relation step (one pipeline cycle, or one full instruction
         window for the specification).  The model's latches are restored
-        afterwards; callers typically ``reset`` it anyway.
+        afterwards; callers typically ``reset`` it anyway.  The relation
+        variables are declared in ``model.state_order()``, which must be
+        a permutation of the layout bits.
         """
         layout = model.state_layout()
+        order = model.state_order()
+        bits = [(field, bit) for field, width in layout for bit in range(width)]
+        if sorted(order) != sorted(bits):
+            raise ValueError(
+                f"{type(model).__name__}.state_order() is not a permutation "
+                "of its state_layout() bits"
+            )
         input_names = [f"{prefix}in[{bit}]" for bit in range(input_width)]
         fetch_valid_name = f"{prefix}fetch_valid" if with_fetch_valid else None
-        manager.declare_all(input_names)
-        if fetch_valid_name is not None:
-            manager.declare(fetch_valid_name)
-        for field, width in layout:
-            for bit in range(width):
-                manager.declare(f"{prefix}{field}[{bit}]")
+        manager.declare_all(
+            _stepper_declares(input_names, fetch_valid_name, order, prefix)
+        )
 
         saved = model.state_formulae()
         symbolic = {
@@ -214,11 +234,7 @@ class MachineStepper:
             manager.var(fetch_valid_name) if fetch_valid_name is not None else None,
         )
         after = model.state_formulae()
-        next_functions = {
-            (field, bit): after[field][bit]
-            for field, width in layout
-            for bit in range(width)
-        }
+        next_functions = {(field, bit): after[field][bit] for field, bit in bits}
         model.load_state(saved)
         return cls(
             manager,
@@ -228,6 +244,7 @@ class MachineStepper:
             input_names,
             fetch_valid_name,
             next_functions,
+            order,
         )
 
     # ------------------------------------------------------------------
@@ -395,6 +412,7 @@ def _stepper_payload(stepper: MachineStepper) -> Dict[str, object]:
         "input_names": list(stepper.input_names),
         "fetch_valid_name": stepper.fetch_valid_name,
         "next_functions": dict(stepper.next_functions),
+        "order": list(stepper.order),
         "supports": dict(stepper.supports),
     }
 
@@ -417,6 +435,7 @@ def _stepper_from_payload(
         payload["input_names"],
         payload["fetch_valid_name"],
         payload["next_functions"],
+        payload["order"],
         supports=payload["supports"],
     )
 
@@ -432,19 +451,24 @@ def extraction_cache_statistics(manager: BDDManager) -> Dict[str, int]:
 # ----------------------------------------------------------------------
 # Persistent relation snapshots
 # ----------------------------------------------------------------------
-def _stepper_declares(payload: Dict[str, object], prefix: str) -> List[str]:
-    """The exact declaration sequence :meth:`MachineStepper.extract` performs.
+def _stepper_declares(
+    input_names: Sequence[str],
+    fetch_valid_name: Optional[str],
+    order: Sequence[Tuple[str, int]],
+    prefix: str,
+) -> List[str]:
+    """The declaration sequence of one extracted relation.
 
-    Replayed verbatim before a snapshot restore, so a rehydrating
-    manager's variable order stays byte-identical to a freshly
-    extracting one — the property the pool's order-signature contract
-    (and with it cross-mode verdict identity) rests on.
+    :meth:`MachineStepper.extract` declares exactly this, and a snapshot
+    restore replays it verbatim, so a rehydrating manager's variable
+    order stays byte-identical to a freshly extracting one — the
+    property the pool's order-signature contract (and with it
+    cross-mode verdict identity) rests on.
     """
-    names = list(payload["input_names"])
-    if payload["fetch_valid_name"] is not None:
-        names.append(payload["fetch_valid_name"])
-    for field, width in payload["layout"]:
-        names.extend(f"{prefix}{field}[{bit}]" for bit in range(width))
+    names = list(input_names)
+    if fetch_valid_name is not None:
+        names.append(fetch_valid_name)
+    names.extend(f"{prefix}{field}[{bit}]" for field, bit in order)
     return names
 
 
@@ -463,7 +487,12 @@ def _serialize_stepper_payload(
     supports = payload["supports"]
     arena = manager.snapshot(
         [next_functions[key] for key in keys],
-        declares=_stepper_declares(payload, prefix),
+        declares=_stepper_declares(
+            payload["input_names"],
+            payload["fetch_valid_name"],
+            payload["order"],
+            prefix,
+        ),
     )
     nodes = len(arena["levels"])
     return {
@@ -515,22 +544,27 @@ def _deserialize_stepper_payload(
     # same fact (what extraction declares), so any single corrupted
     # field — an input name, the layout, the fetch-valid flag — makes
     # them disagree and the record is refused *before* the manager is
-    # touched.  The supports must stay inside that declared set, or the
+    # touched.  The relation-variable order is read back from the
+    # declarations' tail, which must name every layout bit exactly
+    # once.  The supports must stay inside that declared set, or the
     # rehydrated stepper would later trip a BDDOrderError mid-scenario
     # instead of falling back to extraction here.
-    expected_declares = _stepper_declares(
-        {
-            "input_names": input_names,
-            "fetch_valid_name": fetch_valid_name,
-            "layout": layout,
-        },
-        prefix,
-    )
-    if not isinstance(arena, dict) or list(arena.get("declares", ())) != expected_declares:
+    declares = arena.get("declares") if isinstance(arena, dict) else None
+    head = _stepper_declares(input_names, fetch_valid_name, (), prefix)
+    key_of = {f"{prefix}{field}[{bit}]": (field, bit) for field, bit in keys}
+    try:
+        order = [key_of[name] for name in declares[len(head):]]
+    except (TypeError, KeyError):
+        order = None
+    if (
+        order is None
+        or list(declares[: len(head)]) != head
+        or sorted(order) != sorted(keys)
+    ):
         raise SnapshotError(
             "relation snapshot bookkeeping disagrees with its arena declarations"
         )
-    declared = set(expected_declares)
+    declared = set(declares)
     for names in supports.values():
         if not set(names) <= declared:
             raise SnapshotError(
@@ -546,6 +580,7 @@ def _deserialize_stepper_payload(
         "input_names": input_names,
         "fetch_valid_name": fetch_valid_name,
         "next_functions": dict(zip(keys, roots)),
+        "order": order,
         "supports": supports,
     }
 
@@ -563,8 +598,9 @@ def cached_extract_steppers(
     """Extract or re-use the stepper pair via ``manager.session_cache``.
 
     Extraction is the fixed per-run cost of the relational backend
-    (~2.5 s for the 240-bit Alpha0 condensation); on a pooled manager a
-    repeated scenario — or a bug-sweep variant, which shares the golden
+    (~1.1 s for both relations of the full-size (4, 4, 4) Alpha0
+    condensation on a 2-CPU container); on a pooled manager a repeated
+    scenario — or a bug-sweep variant, which shares the golden
     specification — pays it once per session.  Keys must identify the
     model construction exactly: the executor derives them from the
     architecture (name + condensation options) and, for the

@@ -178,8 +178,10 @@ class TestRelationSnapshots:
 
     def test_corrupted_bookkeeping_is_refused_before_touching_the_manager(self):
         """A blob whose input_names disagree with the arena's recorded
-        declarations must raise SnapshotError (fallback to extraction)
-        rather than rehydrate a stepper bound to undeclared variables."""
+        declarations, or whose recorded declarations are no longer a
+        permutation of the layout bits, must raise SnapshotError
+        (fallback to extraction) rather than rehydrate a stepper bound
+        to undeclared variables."""
         import json
 
         import pytest
@@ -200,11 +202,17 @@ class TestRelationSnapshots:
                 _serialize_stepper_payload(manager, payloads[SPEC_PREFIX], SPEC_PREFIX)
             )
         )
-        blob["input_names"][0] = "beta.s.in[999]"  # envelope-valid corruption
-        target = BDDManager()
-        with pytest.raises(SnapshotError):
-            _deserialize_stepper_payload(target, blob, SPEC_PREFIX)
-        assert target.variables == ()
+        renamed_input = copy.deepcopy(blob)
+        renamed_input["input_names"][0] = "beta.s.in[999]"  # envelope-valid
+        renamed_bit = copy.deepcopy(blob)
+        renamed_bit["arena"]["declares"][-1] = "beta.s.reg0[9]"
+        duplicated_bit = copy.deepcopy(blob)
+        duplicated_bit["arena"]["declares"][-1] = duplicated_bit["arena"]["declares"][-2]
+        for corrupted in (renamed_input, renamed_bit, duplicated_bit):
+            target = BDDManager()
+            with pytest.raises(SnapshotError):
+                _deserialize_stepper_payload(target, corrupted, SPEC_PREFIX)
+            assert target.variables == ()
 
     def test_alpha0_rehydrated_campaign_verdicts_byte_identical(self, tmp_path):
         import shutil
