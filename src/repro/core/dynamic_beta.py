@@ -13,12 +13,13 @@ standalone calls and :class:`repro.engine.CampaignRunner` campaigns
 measure the same code):
 
 * :func:`verify_with_events` — symbolic verification of the
-  interrupt-capable VSM (``repro.processors.interrupts``): the event
-  schedule (which instruction slots coincide with an interrupt) is part
-  of the workload, the instructions remain fully symbolic, and the
-  output filtering function of the implementation is re-derived from the
-  event schedule exactly as Section 5.5 describes (zeros are inserted
-  while the trap squashes the slot behind it).
+  interrupt-capable VSM (``repro.processors.interrupts``): the static
+  Figure-8 check plus an event schedule.  Which instruction slots
+  coincide with an interrupt is part of the workload, the instructions
+  remain fully symbolic, and each trap squashes the fetches behind its
+  slot; the implementation's output filtering function follows from
+  that feed schedule exactly as Section 5.5 describes (zeros where the
+  squashed fetches would have retired).
 
 * :func:`verify_superscalar_schedule` — a dynamic-beta check of a
   dual-issue (superscalar) VSM at the concrete level

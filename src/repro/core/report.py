@@ -79,8 +79,8 @@ class VerificationReport:
     extraction_cache: Dict[str, object] = field(default_factory=dict)
     #: Which beta backend produced the run (measurement, not verdict):
     #: ``compose`` or ``relational``, passing or refuting alike (both pick
-    #: witnesses in the same canonical order); empty for non-beta drivers
-    #: (events), which have a single code path.
+    #: witnesses in the same canonical order).  Event runs share the
+    #: Figure-8 phases on the compose backend and report ``compose``.
     backend: str = ""
     #: Persistent-snapshot activity (measurement, not verdict): per-role
     #: restore/save timings and node counts when the run rehydrated its

@@ -19,9 +19,12 @@ specification in four phases:
 3. **Implementation simulation.**  The pipelined machine receives one
    instruction per cycle, with ``d`` fully symbolic (smoothed) delay-slot
    instructions after every control-transfer slot — the machine must
-   annul these by itself — and is drained for the final ``k - 1`` cycles
-   (``2k - 1 + r + c*d`` cycles in total); its observables are sampled
-   per the SH2 filtering function, which skips the delay-slot cycles.
+   annul these by itself — and is drained until the last slot retires
+   (the report counts the ``2k - 1 + r + c*d`` cycles of SH2).  Its
+   observables are sampled where the feed schedule says a slot retires,
+   which is the SH2 filtering function: it skips the delay-slot cycles.
+   An event plan (Section 5.5) feeds the fetches each trap squashes
+   instead, and its filter follows from that schedule the same way.
 
 4. **Comparison.**  The sampled observable formulae are compared
    pairwise as canonical ROBDDs.  Any difference yields a mismatch
@@ -41,7 +44,7 @@ code path — the same one that campaigns
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..bdd import BDDManager
 from ..logic import BitVec
@@ -52,27 +55,90 @@ from .report import VerificationReport
 from .siminfo import SimulationInfo
 
 
+#: Fetches an event slot's trap squashes: the event is taken when the
+#: affected instruction reaches the execute stage, two fetches after it.
+EVENT_SQUASHED_WORDS = 2
+
+
 @dataclass
 class StimulusPlan:
-    """The symbolic instructions fed to both machines."""
+    """The symbolic instructions fed to both machines.
+
+    ``delay_instructions[i]`` are the fully symbolic words fed behind
+    slot ``i``, named ``behind_labels[i]`` (see :func:`words_behind`).
+    ``event_slots`` is ``None`` for a static plan.
+    """
 
     slot_instructions: List[BitVec] = field(default_factory=list)
     delay_instructions: Dict[int, List[BitVec]] = field(default_factory=dict)
     free_variable_count: int = 0
+    event_slots: Optional[Tuple[int, ...]] = None
+    behind_labels: Dict[int, List[str]] = field(default_factory=dict)
+
+    def labelled_vectors(self) -> List[Tuple[str, BitVec]]:
+        """Every stimulus word with its label: slots, then the words behind them."""
+        labelled = [
+            (f"instr{index}", vector) for index, vector in enumerate(self.slot_instructions)
+        ]
+        for index, vectors in sorted(self.delay_instructions.items()):
+            labelled.extend(zip(self.behind_labels[index], vectors))
+        return labelled
+
+
+def words_behind(
+    architecture: Architecture,
+    siminfo: SimulationInfo,
+    event_slots: Optional[Sequence[int]] = None,
+) -> Dict[int, List[str]]:
+    """Labels of the fully symbolic words fed behind each slot.
+
+    A static plan (``event_slots is None``) feeds a control slot's ``d``
+    delay-slot words ``delay{i}.{j}``, which the pipeline must annul by
+    itself.  An event plan feeds the fetches the slot squashes,
+    ``squashed{i}.{j}``: the delay slot behind a control slot, and
+    :data:`EVENT_SQUASHED_WORDS` behind an event slot.
+    """
+    prefix = "delay" if event_slots is None else "squashed"
+    events = set(event_slots or ())
+    labels: Dict[int, List[str]] = {}
+    for index, kind in enumerate(siminfo.slots):
+        if index in events:
+            count = EVENT_SQUASHED_WORDS
+        else:
+            count = architecture.delay_slots if kind == CONTROL else 0
+        if count:
+            labels[index] = [f"{prefix}{index}.{j}" for j in range(count)]
+    return labels
 
 
 def build_stimulus(
-    manager: BDDManager, architecture: Architecture, siminfo: SimulationInfo
+    manager: BDDManager,
+    architecture: Architecture,
+    siminfo: SimulationInfo,
+    event_slots: Optional[Sequence[int]] = None,
 ) -> StimulusPlan:
     """Create the per-slot symbolic instruction vectors.
 
     Slot ``i`` gets variables ``instr{i}[bit]`` for the unconstrained
-    bits and constants for the bits fixed by its instruction class.
-    Control-transfer slots additionally get ``d`` fully symbolic delay
-    slot instructions named ``delay{i}.{j}[bit]``.
+    bits and constants for the bits fixed by its instruction class; the
+    words behind it (:func:`words_behind`) are fully symbolic.  A
+    static plan creates each control slot's delay words right after
+    that slot; an event plan creates every slot word first, then the
+    squashed words by slot.
     """
-    plan = StimulusPlan()
+    plan = StimulusPlan(
+        event_slots=None if event_slots is None else tuple(sorted(set(event_slots))),
+        behind_labels=words_behind(architecture, siminfo, event_slots),
+    )
     width = architecture.instruction_width
+
+    def add_words_behind(index: int) -> None:
+        labels = plan.behind_labels[index]
+        plan.delay_instructions[index] = [
+            BitVec.inputs(manager, label, width) for label in labels
+        ]
+        plan.free_variable_count += width * len(labels)
+
     for index, kind in enumerate(siminfo.slots):
         cube = architecture.instruction_class_cube(kind)
         bits = []
@@ -83,27 +149,28 @@ def build_stimulus(
                 bits.append(manager.var(f"instr{index}[{bit}]"))
                 plan.free_variable_count += 1
         plan.slot_instructions.append(BitVec.from_bits(manager, bits))
-        if kind == CONTROL and architecture.delay_slots:
-            delay_list = []
-            for slot in range(architecture.delay_slots):
-                vector = BitVec.inputs(manager, f"delay{index}.{slot}", width)
-                plan.free_variable_count += width
-                delay_list.append(vector)
-            plan.delay_instructions[index] = delay_list
+        if event_slots is None and index in plan.behind_labels:
+            add_words_behind(index)
+    if event_slots is not None:
+        for index in sorted(plan.behind_labels):
+            add_words_behind(index)
     return plan
 
 
-def witness_order(architecture: Architecture, siminfo: SimulationInfo) -> Tuple[str, ...]:
+def witness_order(
+    architecture: Architecture,
+    siminfo: SimulationInfo,
+    event_slots: Optional[Sequence[int]] = None,
+) -> Tuple[str, ...]:
     """The canonical variable order counterexamples are picked in.
 
-    It is the compose path's declaration order: the stimulus of
-    :func:`build_stimulus` (slot-major, each control slot's delay words
-    right after it), then the architecture's initial state.  Replaying
-    both on a throwaway manager makes it equal that order by
-    construction, whatever order the verifying manager uses.
+    It is the declaration order of :func:`build_stimulus` on an empty
+    manager, then the architecture's initial state.  Replaying both on
+    a throwaway manager makes it equal that order by construction,
+    whatever order the verifying manager uses.
     """
     throwaway = BDDManager()
-    build_stimulus(throwaway, architecture, siminfo)
+    build_stimulus(throwaway, architecture, siminfo, event_slots)
     architecture.make_initial_state(throwaway)
     return throwaway.variables
 

@@ -8,19 +8,26 @@ points are now thin adapters over the functions here, so examples,
 benchmarks and campaigns all measure the same code.
 
 * :func:`run_beta` — the Figure-8 beta-relation check (static filters).
-* :func:`run_events` — the Section 5.5 dynamic beta-relation with an
-  external event (interrupt) schedule.
+* :func:`run_events` — the Section 5.5 dynamic beta-relation: the same
+  Figure-8 phases plus an external event (interrupt) schedule, from
+  which the implementation's sampling filter follows.
 * :func:`run_superscalar` — the Section 5.7 concrete dynamic-beta check
   of the dual-issue VSM.
 * :func:`execute_scenario` — the campaign entry: resolves a
   :class:`~repro.engine.scenario.Scenario`, runs the right driver on a
   (possibly pooled) manager and wraps the result in a deterministic
   :class:`~repro.engine.report.ScenarioOutcome`.
+
+:func:`run_beta` and :func:`run_events` share one phase sequence
+(:func:`_run_figure8`: stimulus plan, specification, reorder point,
+implementation, comparison, report); a beta backend only decides how a
+machine takes a step.
 """
 
 from __future__ import annotations
 
 import time
+from functools import partial
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..bdd import BDDManager, find_distinguishing_assignment
@@ -28,15 +35,13 @@ from ..isa import vsm as vsm_isa
 from ..logic import BitVec
 from ..strings import (
     CONTROL,
-    NORMAL,
     pipelined_cycle_count,
     pipelined_filter,
-    sample_cycles,
     superscalar_specification_filter,
     unpipelined_filter,
 )
 from ..core.architectures import Architecture, VSMArchitecture
-from ..core.observation import ObservationSpec, vsm_observables
+from ..core.observation import ObservationSpec
 from ..core.report import Mismatch, VerificationReport
 from ..core.siminfo import SimulationInfo
 from ..relational.policy import (
@@ -171,7 +176,7 @@ def decode_counterexample(
 
 
 # ----------------------------------------------------------------------
-# Static beta-relation (paper Figure 8, Section 5.3)
+# Figure-8 phases (paper Figure 8, Sections 5.3 and 5.5)
 # ----------------------------------------------------------------------
 def _drive_specification(
     plan,
@@ -179,20 +184,22 @@ def _drive_specification(
     cycles_per_instruction: int,
     step,
     sample,
+    trap=None,
 ) -> Tuple[List[Dict[str, BitVec]], List[int], int]:
-    """Drive the unpipelined machine's instruction schedule.
+    """Drive the unpipelined machine's instruction schedule (SH1 sampling).
 
-    ``step(instruction)`` advances one instruction window;
-    ``sample()`` reads the selected observation of the current state.
-    Shared by the functional and relational beta backends so the
-    sampling schedule — and with it the verdict alignment — has exactly
-    one definition.
+    ``step(instruction)`` advances one instruction window, and
+    ``trap(instruction)`` does so with the event asserted (only at the
+    plan's event slots); ``sample()`` reads the selected observation
+    of the current state.  Returns (samples, sample cycles, total
+    cycles).
     """
+    events = set(plan.event_slots or ())
     samples = [sample()]
     cycles = [siminfo.reset_cycles - 1]
     cycle = siminfo.reset_cycles - 1
-    for instruction in plan.slot_instructions:
-        step(instruction)
+    for index, instruction in enumerate(plan.slot_instructions):
+        (trap if index in events else step)(instruction)
         cycle += cycles_per_instruction
         samples.append(sample())
         cycles.append(cycle)
@@ -207,80 +214,72 @@ def _drive_implementation(
     siminfo: SimulationInfo,
     step,
     sample,
+    trap=None,
 ) -> Tuple[List[Dict[str, BitVec]], List[int], int]:
-    """Drive the pipelined machine's feeding schedule (SH2 sampling).
+    """Drive the pipelined machine's feed schedule and sample what retires.
 
-    ``step(instruction, fetch_valid)`` advances one pipeline cycle;
-    ``sample()`` reads the selected observation of the current state
-    (called only at sampled cycles, so a relational stepper installs its
-    state lazily).  Shared by both beta backends.
+    Each slot is fed, then the words behind it.  The sampling schedule
+    follows from the feed schedule: a slot fed at cycle ``c`` retires,
+    and is sampled, at ``c + k - 1``; the words behind it never retire.
+    For a static plan this is SH2 (:func:`pipelined_filter`), for an
+    event plan Section 5.5's dynamic beta-relation.  An event slot's
+    last squashed word goes through ``trap``: the event line is
+    asserted while the slot sits in the execute stage.  The pipeline
+    then drains on invalid fetches up to the last sample.
+
+    ``step(instruction, fetch_valid)`` / ``trap(...)`` advance one
+    pipeline cycle; ``sample()`` reads the selected observation of the
+    current state (called only at sampled cycles, so a relational
+    stepper installs its state lazily).  Returns (samples, sample
+    cycles, cycles simulated).
     """
-    filter_values = pipelined_filter(
-        architecture.order_k, siminfo.slots, architecture.delay_slots, siminfo.reset_cycles
-    )
-    wanted = set(sample_cycles(filter_values))
-    observations_by_cycle: Dict[int, Dict[str, BitVec]] = {}
+    events = set(plan.event_slots or ())
     cycle = siminfo.reset_cycles - 1
-    observations_by_cycle[cycle] = sample()
+    feed = []
+    sampled = [cycle]
+    for index, instruction in enumerate(plan.slot_instructions):
+        feed.append((instruction, step))
+        sampled.append(cycle + len(feed) + architecture.order_k - 1)
+        behind = plan.delay_instructions.get(index, [])
+        for position, word in enumerate(behind):
+            is_trap = index in events and position == len(behind) - 1
+            feed.append((word, trap if is_trap else step))
 
-    nop = BitVec.constant(manager, 0, architecture.instruction_width)
+    wanted = set(sampled)
+    samples = [sample()]
 
-    def advance(instruction: BitVec, fetch_valid) -> None:
+    def advance(move, instruction: BitVec, fetch_valid) -> None:
         nonlocal cycle
-        step(instruction, fetch_valid)
+        move(instruction, fetch_valid)
         cycle += 1
         if cycle in wanted:
-            observations_by_cycle[cycle] = sample()
+            samples.append(sample())
 
-    for index, instruction in enumerate(plan.slot_instructions):
-        advance(instruction, manager.one)
-        for delay_vector in plan.delay_instructions.get(index, []):
-            advance(delay_vector, manager.one)
-    for _ in range(architecture.order_k - 1):
-        advance(nop, manager.zero)
-
-    ordered_cycles = sorted(observations_by_cycle)
-    samples = [observations_by_cycle[c] for c in ordered_cycles]
-    total = pipelined_cycle_count(
-        architecture.order_k, siminfo.slots, architecture.delay_slots, siminfo.reset_cycles
-    )
-    return samples, ordered_cycles, total
+    for instruction, move in feed:
+        advance(move, instruction, manager.one)
+    nop = BitVec.constant(manager, 0, architecture.instruction_width)
+    while cycle < sampled[-1]:
+        advance(step, nop, manager.zero)
+    return samples, sampled, cycle + 1
 
 
-def _simulate_specification(
-    specification,
-    plan,
-    siminfo: SimulationInfo,
-    observation: ObservationSpec,
-) -> Tuple[List[Dict[str, BitVec]], List[int], int]:
-    """Run the unpipelined machine; return (samples, sample cycles, total cycles)."""
-    return _drive_specification(
-        plan,
-        siminfo,
-        specification.cycles_per_instruction,
-        step=specification.execute_instruction,
-        sample=lambda: observation.select(specification.observe()),
-    )
+def _observe(model, observation: ObservationSpec) -> Dict[str, BitVec]:
+    return observation.select(model.observe())
 
 
-def _simulate_implementation(
-    implementation,
-    architecture: Architecture,
-    plan,
-    siminfo: SimulationInfo,
-    observation: ObservationSpec,
-) -> Tuple[List[Dict[str, BitVec]], List[int], int]:
-    """Run the pipelined machine; return (samples, sample cycles, total cycles)."""
-    return _drive_implementation(
-        implementation.manager,
-        architecture,
-        plan,
-        siminfo,
-        step=lambda instruction, fetch_valid: implementation.step(
-            instruction, fetch_valid=fetch_valid
-        ),
-        sample=lambda: observation.select(implementation.observe()),
-    )
+def _relational_machine(stepper, model, observation: ObservationSpec):
+    """``(step, sample)`` of one machine replayed on its extracted relation."""
+    state = stepper.initial_state()
+
+    def step(instruction: BitVec, *fetch_valid) -> None:
+        nonlocal state
+        state = stepper.advance(state, instruction, *fetch_valid)
+
+    def sample() -> Dict[str, BitVec]:
+        stepper.install(state)
+        return _observe(model, observation)
+
+    return step, sample
 
 
 def run_beta(
@@ -311,62 +310,116 @@ def run_beta(
     from ..relational.beta import supports_state_injection
 
     manager = manager if manager is not None else BDDManager()
-    observation = observation if observation is not None else architecture.observation_spec()
-    models = None
-    if effective_beta_backend(relational) == BETA_RELATIONAL:
-        models = architecture.make_models(manager, impl_kwargs=impl_kwargs)
-        if all(supports_state_injection(model) for model in models):
-            return _run_beta_relational(
-                architecture,
-                siminfo,
-                manager,
-                impl_kwargs,
-                observation,
-                relational,
-                models,
-                snapshot_store=snapshot_store,
-            )
-        # The design's models predate the state-injection protocol —
-        # fall through to the classical path on the same (still
-        # declaration-free) manager, reusing the constructed models.
-    return _run_beta_compose(
-        architecture, siminfo, manager, impl_kwargs, observation, relational, models
+    models = architecture.make_models(manager, impl_kwargs=impl_kwargs)
+    backend = effective_beta_backend(relational)
+    if backend == BETA_RELATIONAL and not all(
+        supports_state_injection(model) for model in models
+    ):
+        # The design's models predate the state-injection protocol: run
+        # the classical path on the same, still declaration-free manager.
+        backend = BETA_COMPOSE
+    return _run_figure8(
+        architecture,
+        siminfo,
+        manager,
+        observation,
+        relational,
+        models,
+        backend,
+        impl_kwargs=impl_kwargs,
+        snapshot_store=snapshot_store,
     )
 
 
-def _run_beta_compose(
+def _run_figure8(
     architecture: Architecture,
     siminfo: SimulationInfo,
     manager: BDDManager,
-    impl_kwargs: Optional[dict],
-    observation: ObservationSpec,
+    observation: Optional[ObservationSpec],
     relational: Optional[RelationalPolicy],
-    models=None,
+    models,
+    backend: str,
+    event_slots: Optional[Sequence[int]] = None,
+    impl_kwargs: Optional[dict] = None,
+    snapshot_store=None,
 ) -> VerificationReport:
-    """The classical beta path: functional simulation by composition."""
+    """The Figure-8 phases, shared by every symbolic run.
+
+    Builds the stimulus plan (static, or with ``event_slots``) and the
+    shared initial state, then runs the specification, an optional
+    reorder point, the implementation, the comparison and the report.
+    ``backend`` only decides how a machine takes a step: functional
+    simulation of ``models`` for compose, the relations extracted from
+    them (:mod:`repro.relational.beta`) for relational, which declares
+    its own selector-above-data stimulus order first.  Canonicity makes
+    both backends refute exactly the same (sample, observable) pairs,
+    and each witness is picked in :func:`repro.core.verifier.witness_order`,
+    so the verdict bytes depend on neither the backend nor the order.
+    """
     from ..core.verifier import build_stimulus, witness_order
+    from ..relational.beta import beta_stimulus_order, cached_extract_steppers
 
-    specification, implementation = (
-        models
-        if models is not None
-        else architecture.make_models(manager, impl_kwargs=impl_kwargs)
-    )
-
-    # Variable-ordering note: the instruction variables act as selectors into
-    # the register file, so they must sit *above* the initial-state data
-    # variables in the BDD order (Section 3.2's ordering discussion).  The
-    # stimulus is therefore built before the shared initial state.
-    plan = build_stimulus(manager, architecture, siminfo)
+    observation = observation if observation is not None else architecture.observation_spec()
+    specification, implementation = models
+    relational_backend = backend == BETA_RELATIONAL
+    if relational_backend:
+        manager.declare_all(beta_stimulus_order(architecture, siminfo))
+    # Without a declared order the instruction variables, which act as
+    # selectors into the register file, still sit above the initial-state
+    # data (Section 3.2): the stimulus is built first.
+    plan = build_stimulus(manager, architecture, siminfo, event_slots)
     initial_state = architecture.make_initial_state(manager)
+
+    extraction_seconds = 0.0
+    if relational_backend:
+        # Extraction cache keys: the relation is a pure function of the
+        # model construction (architecture dataclass repr covers the
+        # design and its condensation options; the implementation
+        # additionally depends on the injected-bug kwargs), per manager
+        # — and the pool keys managers by order signature, so this is
+        # exactly the (model, relation, order_signature) cache of a
+        # campaign session.
+        arch_sig = repr(architecture)
+        kwargs_sig = repr(sorted((impl_kwargs or {}).items()))
+        started = time.perf_counter()
+        with telemetry.span("beta.extract", manager=manager, arch=architecture.name):
+            spec_stepper, impl_stepper, extraction_record = cached_extract_steppers(
+                manager,
+                specification,
+                implementation,
+                architecture.instruction_width,
+                spec_key=("beta_spec_relation", arch_sig),
+                impl_key=("beta_impl_relation", arch_sig, kwargs_sig),
+                snapshot_store=snapshot_store,
+                dependencies=codehash.components_for_architecture(architecture),
+            )
+        extraction_seconds = time.perf_counter() - started
+        extraction_record["seconds"] = round(extraction_seconds, 4)
     specification.reset(**initial_state)
     implementation.reset(**initial_state)
 
+    if relational_backend:
+        spec_step, spec_sample = _relational_machine(spec_stepper, specification, observation)
+        impl_step, impl_sample = _relational_machine(impl_stepper, implementation, observation)
+        spec_trap = impl_trap = None  # event runs are compose-only
+    else:
+        spec_step, impl_step = specification.execute_instruction, implementation.step
+        spec_trap = partial(specification.execute_instruction, event=True)
+        impl_trap = partial(implementation.step, event=True)
+        spec_sample = partial(_observe, specification, observation)
+        impl_sample = partial(_observe, implementation, observation)
+
     started = time.perf_counter()
-    with telemetry.span("beta.spec", manager=manager, backend=BETA_COMPOSE):
-        spec_samples, spec_cycles, spec_total = _simulate_specification(
-            specification, plan, siminfo, observation
+    with telemetry.span("beta.spec", manager=manager, backend=backend):
+        spec_samples, spec_cycles, spec_total = _drive_specification(
+            plan,
+            siminfo,
+            specification.cycles_per_instruction,
+            spec_step,
+            spec_sample,
+            spec_trap,
         )
-    spec_seconds = time.perf_counter() - started
+    spec_seconds = time.perf_counter() - started + extraction_seconds
 
     # Reorder point: the specification formulae are built, the (more
     # expensive) implementation simulation is still ahead.
@@ -375,14 +428,14 @@ def _run_beta_compose(
     )
 
     started = time.perf_counter()
-    with telemetry.span("beta.impl", manager=manager, backend=BETA_COMPOSE):
-        impl_samples, impl_cycles, impl_total = _simulate_implementation(
-            implementation, architecture, plan, siminfo, observation
+    with telemetry.span("beta.impl", manager=manager, backend=backend):
+        impl_samples, impl_cycles, impl_simulated = _drive_implementation(
+            manager, architecture, plan, siminfo, impl_step, impl_sample, impl_trap
         )
     impl_seconds = time.perf_counter() - started
 
     started = time.perf_counter()
-    with telemetry.span("beta.compare", manager=manager, backend=BETA_COMPOSE):
+    with telemetry.span("beta.compare", manager=manager, backend=backend):
         mismatches = _compare_samples(
             manager,
             architecture,
@@ -392,145 +445,7 @@ def _run_beta_compose(
             impl_samples,
             spec_cycles,
             impl_cycles,
-            witness_order(architecture, siminfo),
-        )
-    comparison_seconds = time.perf_counter() - started
-
-    return _beta_report(
-        architecture,
-        siminfo,
-        manager,
-        observation,
-        plan,
-        mismatches,
-        spec_total,
-        impl_total,
-        len(spec_samples),
-        spec_seconds,
-        impl_seconds,
-        comparison_seconds,
-        reorder_record,
-        backend=BETA_COMPOSE,
-    )
-
-
-def _run_beta_relational(
-    architecture: Architecture,
-    siminfo: SimulationInfo,
-    manager: BDDManager,
-    impl_kwargs: Optional[dict],
-    observation: ObservationSpec,
-    relational: Optional[RelationalPolicy],
-    models,
-    snapshot_store=None,
-) -> VerificationReport:
-    """The relational beta backend (see :mod:`repro.relational.beta`).
-
-    ``models`` is the (specification, implementation) pair the
-    dispatcher already built and protocol-checked.
-
-    The relation is proved or refuted under the backend's own
-    (selector-above-data) variable order.  Canonicity makes both
-    backends refute exactly the same (sample, observable) pairs, and
-    each witness is picked in the compose path's declaration order
-    (:func:`repro.core.verifier.witness_order`), so a refuting run
-    reports the compose backend's records byte for byte — the golden
-    counterexample suite pins them down.
-    """
-    from ..core.verifier import build_stimulus, witness_order
-    from ..relational.beta import beta_stimulus_order, cached_extract_steppers
-
-    specification, implementation = models
-
-    manager.declare_all(beta_stimulus_order(architecture, siminfo))
-    plan = build_stimulus(manager, architecture, siminfo)
-    initial_state = architecture.make_initial_state(manager)
-
-    # Extraction cache keys: the relation is a pure function of the
-    # model construction (architecture dataclass repr covers the design
-    # and its condensation options; the implementation additionally
-    # depends on the injected-bug kwargs), per manager — and the pool
-    # keys managers by order signature, so this is exactly the
-    # (model, policy-independent relation, order_signature) cache of a
-    # campaign session.
-    arch_sig = repr(architecture)
-    kwargs_sig = repr(sorted((impl_kwargs or {}).items()))
-    started = time.perf_counter()
-    with telemetry.span("beta.extract", manager=manager, arch=architecture.name):
-        spec_stepper, impl_stepper, extraction_record = cached_extract_steppers(
-            manager,
-            specification,
-            implementation,
-            architecture.instruction_width,
-            spec_key=("beta_spec_relation", arch_sig),
-            impl_key=("beta_impl_relation", arch_sig, kwargs_sig),
-            snapshot_store=snapshot_store,
-            dependencies=codehash.components_for_architecture(architecture),
-        )
-    extraction_seconds = time.perf_counter() - started
-    extraction_record["seconds"] = round(extraction_seconds, 4)
-    # Snapshot activity is its own measurement family on the report;
-    # the extraction record keeps only the cache-level hit/miss story.
-    snapshot_record = extraction_record.pop("snapshot", {})
-    specification.reset(**initial_state)
-    implementation.reset(**initial_state)
-
-    # --- Specification: one relation step per instruction slot ---------
-    started = time.perf_counter()
-    spec_state = spec_stepper.initial_state()
-
-    def spec_step(instruction: BitVec) -> None:
-        nonlocal spec_state
-        spec_state = spec_stepper.advance(spec_state, instruction)
-
-    def spec_sample() -> Dict[str, BitVec]:
-        spec_stepper.install(spec_state)
-        return observation.select(specification.observe())
-
-    with telemetry.span("beta.spec", manager=manager, backend=BETA_RELATIONAL):
-        spec_samples, spec_cycles, spec_total = _drive_specification(
-            plan,
-            siminfo,
-            specification.cycles_per_instruction,
-            step=spec_step,
-            sample=spec_sample,
-        )
-    spec_seconds = time.perf_counter() - started
-
-    reorder_record = _maybe_reorder(
-        manager, relational, phase="post-specification", samples=spec_samples
-    )
-
-    # --- Implementation: one relation step per pipeline cycle ----------
-    started = time.perf_counter()
-    impl_state = impl_stepper.initial_state()
-
-    def impl_step(instruction: BitVec, fetch_valid) -> None:
-        nonlocal impl_state
-        impl_state = impl_stepper.advance(impl_state, instruction, fetch_valid)
-
-    def impl_sample() -> Dict[str, BitVec]:
-        impl_stepper.install(impl_state)
-        return observation.select(implementation.observe())
-
-    with telemetry.span("beta.impl", manager=manager, backend=BETA_RELATIONAL):
-        impl_samples, ordered_cycles, impl_total = _drive_implementation(
-            manager, architecture, plan, siminfo, step=impl_step, sample=impl_sample
-        )
-    impl_seconds = time.perf_counter() - started
-
-    started = time.perf_counter()
-    with telemetry.span("beta.compare", manager=manager, backend=BETA_RELATIONAL):
-        mismatches = _compare_samples(
-            manager,
-            architecture,
-            observation,
-            plan,
-            spec_samples,
-            impl_samples,
-            spec_cycles,
-            ordered_cycles,
-            witness_order(architecture, siminfo),
+            witness_order(architecture, siminfo, event_slots),
         )
     comparison_seconds = time.perf_counter() - started
 
@@ -542,16 +457,19 @@ def _run_beta_relational(
         plan,
         mismatches,
         spec_total,
-        impl_total,
-        len(spec_samples),
-        spec_seconds + extraction_seconds,
+        impl_simulated,
+        impl_cycles,
+        spec_seconds,
         impl_seconds,
         comparison_seconds,
         reorder_record,
-        backend=BETA_RELATIONAL,
+        backend=backend,
     )
-    report.extraction_cache = dict(extraction_record)
-    report.snapshot = dict(snapshot_record)
+    if relational_backend:
+        # Snapshot activity is its own measurement family on the report;
+        # the extraction record keeps only the cache-level hit/miss story.
+        report.snapshot = dict(extraction_record.pop("snapshot", {}))
+        report.extraction_cache = dict(extraction_record)
     return report
 
 
@@ -568,20 +486,12 @@ def _compare_samples(
 ) -> List[Mismatch]:
     """Pairwise canonical comparison of the sampled observables.
 
-    Shared verbatim by both beta backends: the samples are canonical
-    ROBDDs of the same Boolean functions, so the mismatch *set* cannot
-    depend on the backend.  Witnesses are picked in ``witness_order``
-    (both backends pass the compose declaration order), so their bits
-    depend neither on the backend nor on sifting.
+    The samples are canonical ROBDDs of the same Boolean functions on
+    either backend, so the mismatch *set* cannot depend on the backend.
+    Witnesses are picked in ``witness_order``, so their bits depend
+    neither on the backend nor on sifting.
     """
-    labelled_vectors = [
-        (f"instr{index}", vector) for index, vector in enumerate(plan.slot_instructions)
-    ]
-    for index, delay_list in sorted(plan.delay_instructions.items()):
-        labelled_vectors.extend(
-            (f"delay{index}.{slot}", vector) for slot, vector in enumerate(delay_list)
-        )
-
+    labelled_vectors = plan.labelled_vectors()
     mismatches: List[Mismatch] = []
     if len(spec_samples) != len(impl_samples):
         raise RuntimeError(
@@ -622,33 +532,53 @@ def _beta_report(
     plan,
     mismatches: List[Mismatch],
     spec_total: int,
-    impl_total: int,
-    samples_compared: int,
+    impl_simulated: int,
+    impl_cycles: Sequence[int],
     spec_seconds: float,
     impl_seconds: float,
     comparison_seconds: float,
     reorder_record: Dict[str, object],
     backend: str,
 ) -> VerificationReport:
-    """Assemble the beta report (structure identical across backends)."""
-    spec_filter = unpipelined_filter(
-        architecture.order_k, siminfo.num_slots, siminfo.reset_cycles
-    )
-    impl_filter = pipelined_filter(
-        architecture.order_k, siminfo.slots, architecture.delay_slots, siminfo.reset_cycles
-    )
+    """Assemble the report (structure identical across backends).
+
+    A static run reports SH2 and its cycle count; an event run reports
+    the cycles it simulated, the filter its feed schedule derived, and
+    its event slots as control slots.
+    """
+    extra: Dict[str, object] = {}
+    if plan.event_slots is None:
+        slot_kinds = siminfo.slots
+        impl_total = pipelined_cycle_count(
+            architecture.order_k, siminfo.slots, architecture.delay_slots, siminfo.reset_cycles
+        )
+        impl_filter = pipelined_filter(
+            architecture.order_k, siminfo.slots, architecture.delay_slots, siminfo.reset_cycles
+        )
+    else:
+        # An event slot squashes the fetches behind it like a control transfer.
+        slot_kinds = tuple(
+            CONTROL if index in plan.event_slots else kind
+            for index, kind in enumerate(siminfo.slots)
+        )
+        impl_total = impl_simulated
+        sampled = set(impl_cycles)
+        impl_filter = tuple(1 if cycle in sampled else 0 for cycle in range(impl_total))
+        extra["event_slots"] = list(plan.event_slots)
     return VerificationReport(
         design=architecture.name,
         passed=not mismatches,
         order_k=architecture.order_k,
         delay_slots=architecture.delay_slots,
         reset_cycles=siminfo.reset_cycles,
-        slot_kinds=siminfo.slots,
+        slot_kinds=slot_kinds,
         specification_cycles=spec_total,
         implementation_cycles=impl_total,
-        specification_filter=spec_filter,
+        specification_filter=unpipelined_filter(
+            architecture.order_k, siminfo.num_slots, siminfo.reset_cycles
+        ),
         implementation_filter=impl_filter,
-        samples_compared=samples_compared,
+        samples_compared=len(impl_cycles),
         observables_compared=len(observation),
         sequences_covered=2 ** plan.free_variable_count,
         mismatches=mismatches,
@@ -657,14 +587,12 @@ def _beta_report(
         comparison_seconds=comparison_seconds,
         bdd_nodes=manager.size(),
         bdd_variables=manager.num_vars(),
+        extra=extra,
         reorder=reorder_record,
         backend=backend,
     )
 
 
-# ----------------------------------------------------------------------
-# Dynamic beta-relation with events (paper Section 5.5)
-# ----------------------------------------------------------------------
 def run_events(
     siminfo: SimulationInfo,
     event_slots: Sequence[int],
@@ -679,22 +607,19 @@ def run_events(
     ``event_slots`` lists the instruction-slot indices at which an
     external event (interrupt) arrives.  The affected slot behaves like
     a forced trap: the specification performs the trap atomically, the
-    implementation must squash the following fetch and redirect to the
-    handler, and the filtering function treats the slot like a
-    control-transfer slot (its delay slot is irrelevant).
+    implementation must squash the fetches behind it and redirect to
+    the handler, and the filtering function treats the slot like a
+    control-transfer slot.  This is the Figure-8 check plus an event
+    schedule (Section 5.5): the shared phases on the compose backend,
+    with a stimulus plan that carries the event slots.
     """
-    from ..processors import symbolic_register_file
     from ..processors.interrupts import (
         SymbolicPipelinedVSMWithEvents,
         SymbolicUnpipelinedVSMWithEvents,
     )
-    from ..relational.beta import selector_above_data_order
+    from ..relational.beta import beta_stimulus_order
 
-    manager = manager if manager is not None else BDDManager()
-    observation = observation if observation is not None else vsm_observables()
-    impl_kwargs = impl_kwargs or {}
-    event_set = set(event_slots)
-    for slot in event_set:
+    for slot in set(event_slots):
         if not 0 <= slot < siminfo.num_slots:
             raise ValueError(f"event slot {slot} outside 0..{siminfo.num_slots - 1}")
         if siminfo.slots[slot] == CONTROL:
@@ -702,187 +627,25 @@ def run_events(
                 f"slot {slot} is a control-transfer slot; events are modelled on "
                 "ordinary instruction slots"
             )
-
-    k = vsm_isa.PIPELINE_DEPTH
-    delay_slots = vsm_isa.DELAY_SLOTS
-
-    # Effective slot kinds for the filtering functions: an event slot
-    # squashes the fetch behind it exactly like a control transfer.
-    effective_kinds = tuple(
-        CONTROL if (kind == CONTROL or index in event_set) else NORMAL
-        for index, kind in enumerate(siminfo.slots)
+    manager = manager if manager is not None else BDDManager()
+    architecture = VSMArchitecture(
+        symbolic_initial_state=symbolic_initial_state, name="VSM+events"
     )
-
-    # Squashed (smoothed) words behind every control-transfer or event slot.
-    # Events are taken when the affected instruction reaches the execute
-    # stage, so two younger fetch slots are squashed; ordinary branches
-    # squash one (the architectural delay slot).
-    squashed_labels = {}
-    for index, kind in enumerate(siminfo.slots):
-        count = 2 if index in event_set else (1 if kind == CONTROL else 0)
-        if count:
-            squashed_labels[index] = [f"squashed{index}.{j}" for j in range(count)]
-
-    # Stimulus order: selector above data (Section 3.2) — later slots
-    # first, each slot's squashed words directly above it, register data
-    # below all of them.  Witnesses do not depend on it (see below).
-    manager.declare_all(
-        selector_above_data_order(
-            vsm_isa.INSTRUCTION_WIDTH, siminfo.num_slots, squashed_labels
-        )
+    # Selector above data (Section 3.2); witnesses do not depend on it.
+    manager.declare_all(beta_stimulus_order(architecture, siminfo, event_slots))
+    models = (
+        SymbolicUnpipelinedVSMWithEvents(manager),
+        SymbolicPipelinedVSMWithEvents(manager, **(impl_kwargs or {})),
     )
-    instructions: List[BitVec] = []
-    free_bits = 0
-    for index, kind in enumerate(siminfo.slots):
-        bits = []
-        for bit in range(vsm_isa.INSTRUCTION_WIDTH):
-            if kind == CONTROL and bit in (10, 11, 12):
-                bits.append(manager.constant(bit == 12))
-            elif kind == NORMAL and bit == 12:
-                bits.append(manager.zero)
-            else:
-                bits.append(manager.var(f"instr{index}[{bit}]"))
-                free_bits += 1
-        instructions.append(BitVec.from_bits(manager, bits))
-    squashed = {
-        index: [BitVec.inputs(manager, label, vsm_isa.INSTRUCTION_WIDTH) for label in labels]
-        for index, labels in squashed_labels.items()
-    }
-    free_bits += sum(len(labels) for labels in squashed.values()) * vsm_isa.INSTRUCTION_WIDTH
-
-    if symbolic_initial_state:
-        registers = symbolic_register_file(manager, vsm_isa.NUM_REGISTERS, vsm_isa.DATA_WIDTH)
-    else:
-        registers = None
-    specification = SymbolicUnpipelinedVSMWithEvents(manager)
-    implementation = SymbolicPipelinedVSMWithEvents(manager, **impl_kwargs)
-    specification.reset(initial_registers=registers)
-    implementation.reset(initial_registers=registers)
-
-    # --- Specification -----------------------------------------------------
-    started = time.perf_counter()
-    with telemetry.span("events.spec", manager=manager):
-        spec_samples = [observation.select(specification.observe())]
-        for index, instruction in enumerate(instructions):
-            observed = specification.execute_instruction(
-                instruction, event=index in event_set
-            )
-            spec_samples.append(observation.select(observed))
-    spec_seconds = time.perf_counter() - started
-    spec_total = siminfo.reset_cycles + k * siminfo.num_slots
-
-    reorder_record = _maybe_reorder(
-        manager, relational, phase="post-specification", samples=spec_samples
-    )
-
-    # --- Implementation ----------------------------------------------------
-    # The sampling schedule is derived from the feeding schedule (this is the
-    # dynamic beta-relation): a slot fed at cycle c retires, and is sampled,
-    # at cycle c + k - 1; squashed fetches never retire.
-    started = time.perf_counter()
-    cycle = siminfo.reset_cycles - 1
-    observations_by_cycle = {cycle: observation.select(implementation.observe())}
-    nop = BitVec.constant(manager, 0, vsm_isa.INSTRUCTION_WIDTH)
-    wanted = set()
-    feed_cursor = cycle + 1
-    for index, kind in enumerate(siminfo.slots):
-        wanted.add(feed_cursor + k - 1)
-        feed_cursor += 1 + len(squashed.get(index, []))
-
-    def advance(word: BitVec, fetch_valid, event: bool) -> None:
-        nonlocal cycle
-        observed = implementation.step(word, fetch_valid=fetch_valid, event=event)
-        cycle += 1
-        if cycle in wanted:
-            observations_by_cycle[cycle] = observation.select(observed)
-
-    with telemetry.span("events.impl", manager=manager):
-        for index, instruction in enumerate(instructions):
-            advance(instruction, manager.one, event=False)
-            extras = squashed.get(index, [])
-            for position, word in enumerate(extras):
-                # For an event slot the event line is asserted while the
-                # affected instruction sits in the execute stage, i.e. two
-                # cycles after it was fetched (the second squashed fetch).
-                is_event_cycle = index in event_set and position == len(extras) - 1
-                advance(word, manager.one, event=is_event_cycle)
-        while cycle < max(wanted):
-            advance(nop, manager.zero, event=False)
-    impl_seconds = time.perf_counter() - started
-    ordered = sorted(observations_by_cycle)
-    impl_samples = [observations_by_cycle[c] for c in ordered]
-    impl_total = cycle + 1
-    impl_filter = tuple(1 if c in wanted or c == siminfo.reset_cycles - 1 else 0
-                        for c in range(impl_total))
-
-    labelled_vectors = [
-        (f"instr{index}", vector) for index, vector in enumerate(instructions)
-    ]
-    for index, squashed_list in sorted(squashed.items()):
-        labelled_vectors.extend(
-            (f"squashed{index}.{j}", vector) for j, vector in enumerate(squashed_list)
-        )
-    disassembler = VSMArchitecture()
-    # Witnesses are picked in the classical declaration order (slot-major
-    # instruction bits, then squashed words by slot, then init.reg), so
-    # they do not depend on the order the manager computes in.
-    witness_order = [
-        name
-        for vector in [vector for _, vector in labelled_vectors] + (registers or [])
-        for bit in vector.bits
-        for name in manager.support(bit)
-    ]
-
-    # --- Comparison ---------------------------------------------------------
-    started = time.perf_counter()
-    mismatches: List[Mismatch] = []
-    spec_cycles = [siminfo.reset_cycles - 1 + k * i for i in range(siminfo.num_slots + 1)]
-    with telemetry.span("events.compare", manager=manager):
-        for index, (spec_obs, impl_obs) in enumerate(zip(spec_samples, impl_samples)):
-            for name in observation:
-                if spec_obs[name].identical(impl_obs[name]):
-                    continue
-                witness = find_distinguishing_assignment(
-                    manager, spec_obs[name].bits, impl_obs[name].bits, witness_order
-                )
-                decoded, words = decode_counterexample(
-                    disassembler, labelled_vectors, witness or {}
-                )
-                mismatches.append(
-                    Mismatch(
-                        sample_index=index,
-                        observable=name,
-                        specification_cycle=spec_cycles[index],
-                        implementation_cycle=ordered[index],
-                        counterexample=witness or {},
-                        decoded_instructions=decoded,
-                        instruction_words=words,
-                    )
-                )
-    comparison_seconds = time.perf_counter() - started
-
-    return VerificationReport(
-        design="VSM+events",
-        passed=not mismatches,
-        order_k=k,
-        delay_slots=delay_slots,
-        reset_cycles=siminfo.reset_cycles,
-        slot_kinds=effective_kinds,
-        specification_cycles=spec_total,
-        implementation_cycles=impl_total,
-        specification_filter=unpipelined_filter(k, siminfo.num_slots, siminfo.reset_cycles),
-        implementation_filter=impl_filter,
-        samples_compared=len(spec_samples),
-        observables_compared=len(observation),
-        sequences_covered=2 ** free_bits,
-        mismatches=mismatches,
-        specification_seconds=spec_seconds,
-        implementation_seconds=impl_seconds,
-        comparison_seconds=comparison_seconds,
-        bdd_nodes=manager.size(),
-        bdd_variables=manager.num_vars(),
-        extra={"event_slots": sorted(event_set)},
-        reorder=reorder_record,
+    return _run_figure8(
+        architecture,
+        siminfo,
+        manager,
+        observation,
+        relational,
+        models,
+        BETA_COMPOSE,
+        event_slots=event_slots,
     )
 
 

@@ -57,8 +57,8 @@ class ScenarioOutcome:
     #: totals; empty for non-relational scenarios.
     extraction_cache: Dict[str, object] = field(default_factory=dict)
     #: Which beta backend executed the scenario (measurement, not
-    #: verdict — verdicts are byte-identical across backends): empty for
-    #: non-beta scenarios.
+    #: verdict — verdicts are byte-identical across backends): event
+    #: runs report ``"compose"``; empty for superscalar scenarios.
     backend: str = ""
     #: Persistent-store activity for this scenario (measurement, not
     #: verdict): ``{"status": "hit"|"miss", "bytes_read"/"bytes_written",

@@ -61,7 +61,7 @@ from .scenario import (
     campaign_fingerprint,
     default_registry,
 )
-from .store import ResultStore
+from .store import DERIVED_RATE_KEYS, ResultStore, derive_store_rates
 from .. import telemetry
 from ..resilience import CampaignJournal, SupervisionPolicy, faults
 from ..telemetry import report as trace_report
@@ -387,34 +387,12 @@ def _store_campaign_delta(
     delta: Dict[str, object] = {"results": {}, "snapshots": {}}
     for family in ("results", "snapshots"):
         for name, value in after[family].items():
-            if name in _DERIVED_RATE_KEYS:
+            if name in DERIVED_RATE_KEYS:
                 continue
             delta[family][name] = value - before[family].get(name, 0)
-        _derive_store_rates(delta[family])
+        derive_store_rates(delta[family])
     delta["tmp_swept"] = after.get("tmp_swept", 0) - before.get("tmp_swept", 0)
     return delta
-
-
-#: Keys in a store-family dict that are derived ratios, not summable
-#: counters — delta/merge arithmetic must skip and then re-derive them.
-_DERIVED_RATE_KEYS = ("hit_rate", "survival_rate")
-
-
-def _derive_store_rates(results: Dict[str, object]) -> None:
-    """Attach hit/survival rates to a campaign's result-family counters.
-
-    ``survival_rate`` is the invalidation headline: of the records that
-    were *ours* and subject to the component check (served + component-
-    refused), the fraction that survived the current code delta.  A
-    fully warm re-run after an unrelated edit keeps it at 1.0; the old
-    monolithic salt bump would have driven it to 0.0 for every record.
-    """
-    lookups = sum(
-        results.get(k, 0) for k in ("hits", "misses", "stale", "invalidated", "corrupt")
-    )
-    results["hit_rate"] = (results.get("hits", 0) / lookups) if lookups else 0.0
-    checked = results.get("hits", 0) + results.get("invalidated", 0)
-    results["survival_rate"] = (results.get("hits", 0) / checked) if checked else 1.0
 
 
 def _merge_store_stats(stats_list: Sequence[Optional[Dict[str, object]]]) -> Dict[str, object]:
@@ -425,12 +403,12 @@ def _merge_store_stats(stats_list: Sequence[Optional[Dict[str, object]]]) -> Dic
             continue
         for family in ("results", "snapshots"):
             for name, value in stats.get(family, {}).items():
-                if name in _DERIVED_RATE_KEYS or not isinstance(value, (int, float)):
+                if name in DERIVED_RATE_KEYS or not isinstance(value, (int, float)):
                     continue
                 merged[family][name] = merged[family].get(name, 0) + value
         merged["tmp_swept"] += stats.get("tmp_swept", 0)
-    _derive_store_rates(merged["results"])
-    _derive_store_rates(merged["snapshots"])
+    derive_store_rates(merged["results"])
+    derive_store_rates(merged["snapshots"])
     return merged
 
 

@@ -150,6 +150,28 @@ def content_fingerprint(*parts: object, salt: str = CODE_SALT) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+#: Keys in a store-family dict that are derived ratios, not summable
+#: counters — delta/merge arithmetic must skip and then re-derive them.
+DERIVED_RATE_KEYS = ("hit_rate", "survival_rate")
+
+
+def derive_store_rates(counters: Dict[str, object]) -> None:
+    """Attach ``hit_rate`` and ``survival_rate`` to one family's counters.
+
+    ``survival_rate`` is the invalidation headline: of the records that
+    were *ours* and subject to the component check (served + component-
+    refused), the fraction that survived the current code delta.  A
+    fully warm re-run after an unrelated edit keeps it at 1.0; the old
+    monolithic salt bump would have driven it to 0.0 for every record.
+    """
+    lookups = sum(
+        counters.get(k, 0) for k in ("hits", "misses", "stale", "invalidated", "corrupt")
+    )
+    counters["hit_rate"] = (counters.get("hits", 0) / lookups) if lookups else 0.0
+    checked = counters.get("hits", 0) + counters.get("invalidated", 0)
+    counters["survival_rate"] = (counters.get("hits", 0) / checked) if checked else 1.0
+
+
 class ResultStore:
     """Directory-backed content-addressed store of campaign artefacts.
 
@@ -571,19 +593,7 @@ class ResultStore:
         families: Dict[str, Dict[str, object]] = {}
         for family in ("results", "snapshots"):
             counters = dict(self._stats[family])
-            lookups = sum(
-                counters[k]
-                for k in ("hits", "misses", "stale", "invalidated", "corrupt")
-            )
-            counters["hit_rate"] = (counters["hits"] / lookups) if lookups else 0.0
-            # Of the records that were ours and subject to the component
-            # check (served + component-refused), the fraction that
-            # survived the current code delta — same derivation the
-            # campaign-level delta applies (see runner._derive_store_rates).
-            checked = counters["hits"] + counters["invalidated"]
-            counters["survival_rate"] = (
-                (counters["hits"] / checked) if checked else 1.0
-            )
+            derive_store_rates(counters)
             families[family] = counters
         return {
             "root": str(self.root),

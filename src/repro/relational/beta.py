@@ -67,7 +67,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 from ..bdd import BDDManager, BDDNode, bit_names
 from ..bdd.kernel import SnapshotError, pack_snapshot
 from ..logic import BitVec
-from ..strings import CONTROL
+from ..core.verifier import words_behind
 from .. import telemetry
 
 #: Relation-variable prefixes (one family per machine role).
@@ -111,21 +111,19 @@ def selector_above_data_order(
     return names
 
 
-def beta_stimulus_order(architecture, siminfo) -> List[str]:
-    """The beta backend's :func:`selector_above_data_order`.
+def beta_stimulus_order(architecture, siminfo, event_slots=None) -> List[str]:
+    """The :func:`selector_above_data_order` of a Figure-8 stimulus plan.
 
-    Each control slot's delay words sit directly above it.  On the k=4
-    late-branch window this order alone shrinks the functional
-    construction by an order of magnitude; the relational backend both
-    declares it and exploits it.
+    The words fed behind each slot (:func:`repro.core.verifier.words_behind`:
+    delay words, or an event plan's squashed fetches) sit directly
+    above it.  On the k=4 late-branch window this order alone shrinks
+    the functional construction by an order of magnitude; the
+    relational backend and event runs declare it.
     """
-    words_behind = {
-        index: [f"delay{index}.{slot}" for slot in range(architecture.delay_slots)]
-        for index, kind in enumerate(siminfo.slots)
-        if kind == CONTROL
-    }
     return selector_above_data_order(
-        architecture.instruction_width, siminfo.num_slots, words_behind
+        architecture.instruction_width,
+        siminfo.num_slots,
+        words_behind(architecture, siminfo, event_slots),
     )
 
 
@@ -359,34 +357,40 @@ class MachineStepper:
         return manager.compose(function, substitution)
 
 
+def _advance_specification(model, word: BitVec, fetch_valid) -> None:
+    model.execute_instruction(word)
+
+
+def _advance_implementation(model, word: BitVec, fetch_valid) -> None:
+    model.step(word, fetch_valid=fetch_valid)
+
+
+#: The two relation roles in extraction order, as ``(role, prefix,
+#: advance, with_fetch_valid)``.  The specification's relation is
+#: instruction-level (one step = one ``execute_instruction`` window);
+#: the implementation's is cycle-level with the fetch-valid control
+#: input.  The fixed order gives pooled and rehydrating managers one
+#: deterministic declaration sequence.
+ROLES = (
+    ("spec", SPEC_PREFIX, _advance_specification, False),
+    ("impl", IMPL_PREFIX, _advance_implementation, True),
+)
+
+
 def extract_steppers(
     manager: BDDManager,
     specification,
     implementation,
     instruction_width: int,
 ) -> Tuple[MachineStepper, MachineStepper]:
-    """Extract the (specification, implementation) stepper pair.
-
-    The specification's relation is instruction-level (one step = one
-    ``execute_instruction`` window); the implementation's is cycle-level
-    with the fetch-valid control input.  Extraction order is fixed so
-    pooled managers see one deterministic declaration sequence.
-    """
-    spec_stepper = MachineStepper.extract(
-        manager,
-        specification,
-        SPEC_PREFIX,
-        instruction_width,
-        lambda model, word, fetch_valid: model.execute_instruction(word),
-        with_fetch_valid=False,
-    )
-    impl_stepper = MachineStepper.extract(
-        manager,
-        implementation,
-        IMPL_PREFIX,
-        instruction_width,
-        lambda model, word, fetch_valid: model.step(word, fetch_valid=fetch_valid),
-        with_fetch_valid=True,
+    """Extract the (specification, implementation) stepper pair (see :data:`ROLES`)."""
+    spec_stepper, impl_stepper = (
+        MachineStepper.extract(
+            manager, model, prefix, instruction_width, advance, with_fetch_valid
+        )
+        for model, (_, prefix, advance, with_fetch_valid) in zip(
+            (specification, implementation), ROLES
+        )
     )
     return spec_stepper, impl_stepper
 
@@ -713,23 +717,11 @@ def cached_extract_steppers(
                 }
         return stepper
 
-    # Extraction order is fixed (specification first) so pooled and
-    # rehydrating managers see one deterministic declaration sequence.
-    spec_stepper = acquire(
-        "spec",
-        spec_key,
-        specification,
-        SPEC_PREFIX,
-        lambda model, word, fetch_valid: model.execute_instruction(word),
-        with_fetch_valid=False,
-    )
-    impl_stepper = acquire(
-        "impl",
-        impl_key,
-        implementation,
-        IMPL_PREFIX,
-        lambda model, word, fetch_valid: model.step(word, fetch_valid=fetch_valid),
-        with_fetch_valid=True,
+    spec_stepper, impl_stepper = (
+        acquire(role, key, model, prefix, advance, with_fetch_valid)
+        for (key, model), (role, prefix, advance, with_fetch_valid) in zip(
+            ((spec_key, specification), (impl_key, implementation)), ROLES
+        )
     )
 
     info["session_hits"] = stats["hits"]

@@ -7,6 +7,8 @@ counterexample, and the generated cycle counts / filter sequences match
 the ones printed in Chapter 6 of the paper.
 """
 
+import itertools
+
 import pytest
 
 from repro.bdd import BDDManager
@@ -23,7 +25,8 @@ from repro.core import (
     vsm_default,
 )
 from repro.processors import SymbolicAlpha0Options
-from repro.strings import CONTROL, NORMAL, format_filter
+from repro.engine.executor import _drive_implementation
+from repro.strings import CONTROL, NORMAL, format_filter, pipelined_filter, sample_cycles
 
 
 SMALL_ALPHA0 = Alpha0Architecture(
@@ -66,6 +69,37 @@ class TestStimulusConstruction:
         assert [control[26 + b] for b in range(6)] == [
             manager.constant(bool((0x30 >> b) & 1)) for b in range(6)
         ]
+
+
+class TestFeedDerivedSchedule:
+    """The implementation is sampled where its feed schedule says a slot
+    retires; for a static plan that must be exactly SH2."""
+
+    @pytest.mark.parametrize("architecture", [VSMArchitecture(), SMALL_ALPHA0])
+    def test_sampled_cycles_equal_sh2(self, architecture):
+        for length in range(1, 5):
+            for slots in itertools.product((NORMAL, CONTROL), repeat=length):
+                siminfo = SimulationInfo(reset_cycles=1, slots=slots)
+                manager = BDDManager()
+                plan = build_stimulus(manager, architecture, siminfo)
+                _, cycles, _ = _drive_implementation(
+                    manager,
+                    architecture,
+                    plan,
+                    siminfo,
+                    step=lambda instruction, fetch_valid: None,
+                    sample=lambda: {},
+                )
+                assert list(cycles) == list(
+                    sample_cycles(
+                        pipelined_filter(
+                            architecture.order_k,
+                            slots,
+                            architecture.delay_slots,
+                            siminfo.reset_cycles,
+                        )
+                    )
+                ), slots
 
 
 class TestVSMVerification:
